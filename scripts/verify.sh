@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: what CI should invoke.
 #
-#   scripts/verify.sh            # plain build + full ctest suite
+#   scripts/verify.sh            # thread-source check, plain build + full
+#                                # ctest suite
 #   scripts/verify.sh --tsan     # additionally build with -fsanitize=thread
 #                                # and run the concurrency-heavy tests
 #   scripts/verify.sh --asan     # AddressSanitizer variant of the same
@@ -17,7 +18,23 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # locally with the same command; override via IDB_FAULT_SEED to explore.
 export IDB_FAULT_SEED="${IDB_FAULT_SEED:-20260808}"
 
+# One thread source: worker threads come only from util/worker_pool; the
+# only other std::thread owners are the degrader's and the maintenance
+# daemon's long-lived coordinator threads.
+check_thread_sources() {
+  local stray
+  stray="$(grep -rn 'std::thread' src | grep -v -E \
+    '^src/(util/worker_pool|degrade/degradation_engine|maintain/maintenance_daemon)\.(h|cc):' \
+    || true)"
+  if [ -n "$stray" ]; then
+    echo "verify: std::thread outside the worker pool and the coordinators:" >&2
+    echo "$stray" >&2
+    exit 1
+  fi
+}
+
 run_plain() {
+  check_thread_sources
   cmake -B build -S .
   cmake --build build -j "$JOBS"
   ctest --test-dir build --output-on-failure -j "$JOBS"

@@ -84,12 +84,14 @@ struct DegradationOptions {
   /// time any store head stays locked.
   size_t step_batch_limit = 1024;
   /// Size of the Database's shared lazily-started worker pool
-  /// (util/worker_pool.h): degradation passes, scans, aggregate drains,
-  /// checkpoints and audit sweeps all borrow the same threads instead of
-  /// spawning their own per call. Degradation steps remain their own
-  /// system transactions with wait-die retry. 1 (the default) keeps the
-  /// serial engine; raising it lets degradation and scan throughput scale
-  /// on a multicore box.
+  /// (util/worker_pool.h), the engine's only source of worker threads:
+  /// degradation passes, scans, aggregate drains, checkpoints, audit
+  /// sweeps, and at Open the WAL recovery passes and index rebuilds all
+  /// borrow the same threads, so it also bounds the recovery and
+  /// index-rebuild fan-out (the caller plus at most this many helpers).
+  /// Degradation steps remain their own system transactions with wait-die
+  /// retry. 1 (the default) keeps the serial engine; raising it lets
+  /// degradation and scan throughput scale on a multicore box.
   size_t worker_threads = 1;
 };
 
@@ -110,17 +112,18 @@ struct ReadOptions {
 /// many workers. Per-batch snapshot semantics (one partition latch per
 /// batch) are unchanged at any parallelism.
 struct ScanOptions {
-  /// Number of scan workers a streaming cursor fans out over, and the pool
-  /// size a materialized (Session::Execute) scan drains morsels with.
-  /// 0 (the default) means DegradationOptions::worker_threads — a database
+  /// Number of claimers a heap scan (streaming cursor, materialized
+  /// Session::Execute, aggregate pushdown) drains morsels with. 0 (the
+  /// default) means DegradationOptions::worker_threads — a database
   /// configured with a worker pool reads with it too — EXCEPT on tables a
   /// few scan batches long (under ~2k live rows), which stay sequential:
   /// fanning out costs more than such a scan. Set an explicit value to
   /// force fan-out regardless of table size; it may exceed the partition
-  /// count (workers share partitions at morsel granularity) and is clamped
-  /// only to the morsel-plan size. 1 scans partitions sequentially inline
-  /// on the consumer's thread (no extra threads, rows in (partition, heap)
-  /// order); higher values run that many scan workers, which interleaves
+  /// count (claimers share partitions at morsel granularity) and is
+  /// clamped to the morsel-plan size. Claimers are the calling thread plus
+  /// pool workers, so they are also capped at the pool's free workers plus
+  /// the caller: no scan spawns a thread. 1 scans inline on the caller's
+  /// thread (rows in (partition, heap) order); higher values interleave
   /// rows across morsels in arrival order on the streaming path.
   size_t parallelism = 0;
   /// Heap pages per morsel. 0 (the default) = kDefaultMorselPages (16).
@@ -130,15 +133,15 @@ struct ScanOptions {
   /// Capacity of the streaming cursor's prefetch queue, in batches. The
   /// queue is what lets scan I/O on one partition overlap σ/π evaluation of
   /// another partition's batch; it is bounded so a slow consumer
-  /// backpressures the workers instead of buffering the table. 0 means
-  /// 2 × parallelism.
+  /// backpressures the helpers instead of buffering the table. 0 means
+  /// 2 × the claimer count.
   size_t prefetch_batches = 0;
   /// Predicate & aggregate pushdown below row assembly: stable-column WHERE
   /// terms are evaluated batch-at-a-time on the decoded heap tuples, state
   /// stores are probed only for the surviving rows (one sorted merge per
   /// store instead of one binary search per row), and ungrouped
-  /// COUNT/SUM/AVG/MIN/MAX fold per-partition partials inside the scan
-  /// workers. On by default; off restores full RowView assembly before σ —
+  /// COUNT/SUM/AVG/MIN/MAX fold one partial per claimer inside the scan
+  /// loop. On by default; off restores full RowView assembly before σ —
   /// the reference path the pushdown equivalence tests compare against.
   bool pushdown = true;
   /// Absolute statement deadline on the database's clock (0 = none). Every

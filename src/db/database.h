@@ -174,8 +174,9 @@ class Database {
     uint64_t batches = 0;
     /// Rows pulled out of partition heaps / index probes before σ.
     uint64_t rows = 0;
-    /// Times a streaming cursor's consumer waited on an empty prefetch
-    /// queue while its scan workers were still producing.
+    /// Times a streaming cursor's consumer, with no morsel left to scan
+    /// itself, waited on an empty prefetch queue while its pool helpers
+    /// were still producing.
     uint64_t prefetch_stalls = 0;
     /// Pushdown accounting (ScanOptions::pushdown). Per scanned row and
     /// degradable column the read path either issues a store probe or
@@ -191,11 +192,11 @@ class Database {
     /// Per-worker aggregate partials folded into final results by the
     /// aggregate pushdown (0 when every aggregate ran through the cursor).
     uint64_t aggregate_partials_merged = 0;
-    /// Morsel-scheduler accounting over the parallel scan paths
+    /// Morsel-scheduler accounting over the heap-scan paths
     /// (util/morsel.h): page-range work units claimed, how many of those
     /// were stolen from a non-home partition queue, and steals that lost
     /// the race to a queue's last morsel. Invariant (asserted in tests):
-    /// a fully-drained parallel scan claims exactly its morsel-plan size —
+    /// a fully-drained heap scan claims exactly its morsel-plan size —
     /// morsels_claimed grows by Σ per-partition plan sizes per scan.
     uint64_t morsels_claimed = 0;
     uint64_t morsels_stolen = 0;
@@ -326,9 +327,9 @@ class Database {
   }
 
   /// The shared lazily-started worker pool (util/worker_pool.h), sized by
-  /// DegradationOptions::worker_threads: scans, aggregate drains,
-  /// degradation passes, checkpoints and audit sweeps borrow these threads
-  /// instead of spawning their own per call.
+  /// DegradationOptions::worker_threads: the only source of worker threads
+  /// (scans, aggregate drains, degradation passes, checkpoints, audit
+  /// sweeps, recovery and index rebuilds all borrow from it).
   WorkerPool* worker_pool() const { return &worker_pool_; }
 
   Clock* clock() const { return clock_; }

@@ -6,7 +6,7 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "io/env.h"
-#include "util/parallel.h"
+#include "util/worker_pool.h"
 
 namespace instantdb {
 
@@ -88,12 +88,15 @@ Status Table::Open() {
   return Status::OK();
 }
 
-Status Table::RebuildIndexes(size_t worker_threads) {
+Status Table::RebuildIndexes(WorkerPool* pool) {
   // Partitions own disjoint physical state, so their rebuilds are
-  // embarrassingly parallel; the pool mirrors the degradation worker pool
-  // (the database passes the same size).
-  return ParallelFor(worker_threads, partitions_.size(),
-                     [this](size_t i) { return partitions_[i]->RebuildIndexes(); });
+  // embarrassingly parallel — once there is data to index. An empty table
+  // (CREATE TABLE, or every row expired) rebuilds inline: its rebuild only
+  // creates index files, and helpers would cost more than they save.
+  const size_t workers = live_rows() == 0 ? 1 : partitions_.size();
+  return pool->Run(workers, partitions_.size(), [this](size_t i) {
+    return partitions_[i]->RebuildIndexes();
+  });
 }
 
 Status Table::Drop() {

@@ -11,6 +11,8 @@
 
 namespace instantdb {
 
+class WorkerPool;
+
 /// Upper bound on DbOptions::partitions (sanity limit: one partition per
 /// core is the useful range; this also caps what a corrupt PARTITIONS file
 /// can make Open() attempt).
@@ -26,11 +28,11 @@ struct TableScanPos {
 
 /// \brief Cursor over ONE partition's heap, from Table::OpenPartitionCursor.
 ///
-/// This is the unit the parallel read path shards on: a consumer that wants
-/// to fan a table scan out itself (the query layer's prefetch workers, the
+/// A consumer that wants to fan a table scan out itself (the
 /// exposure/attack-window audit benches) opens one cursor per partition and
 /// drains them on distinct threads — partitions own disjoint rows and
-/// latches, so the cursors never contend. Each NextBatch holds the
+/// latches, so the cursors never contend. The query layer's morsel loop
+/// opens the page-range form instead (OpenMorselCursor). Each NextBatch holds the
 /// partition's shared latch only while assembling that batch
 /// (snapshot-per-batch semantics, exactly like Table::ScanBatch).
 /// Value-semantic and independent of sibling cursors; the Table must
@@ -103,11 +105,11 @@ class Table {
   /// Indexes are rebuilt separately (RebuildIndexes) after WAL replay so
   /// they reflect the recovered state.
   Status Open();
-  /// Rebuilds every partition's indexes. Partitions are independent, so
-  /// with `worker_threads > 1` they rebuild on a worker pool (the database
-  /// passes the degradation pool size) — this is what cuts recovery time on
-  /// multi-partition tables.
-  Status RebuildIndexes(size_t worker_threads = 1);
+  /// Rebuilds every partition's indexes. Partitions are independent, so a
+  /// table holding rows rebuilds them in parallel on `pool` (the caller
+  /// plus its free workers) — this is what cuts recovery time on
+  /// multi-partition tables. An empty table rebuilds inline.
+  Status RebuildIndexes(WorkerPool* pool);
   /// Securely drops all storage (DROP TABLE).
   Status Drop();
 

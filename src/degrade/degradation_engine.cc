@@ -141,7 +141,6 @@ Result<size_t> DegradationEngine::RunDue(Micros now) {
     std::atomic<uint64_t> steps{0};
     std::atomic<uint64_t> moved_round{0};
     std::atomic<uint64_t> aborts_round{0};
-    std::mutex error_mu;
 
     // Step-grained work queue: a claim runs ONE bounded step, then requeues
     // the unit at the back while it still has work. Urgent units sit at the
@@ -151,12 +150,12 @@ Result<size_t> DegradationEngine::RunDue(Micros now) {
     std::mutex queue_mu;
     std::deque<Unit> queue(units.begin(), units.end());
 
-    auto drain = [&] {
+    auto drain = [&](size_t) -> Status {
       for (;;) {
         Unit unit;
         {
           std::lock_guard<std::mutex> lock(queue_mu);
-          if (queue.empty()) return;
+          if (queue.empty()) return Status::OK();
           unit = queue.front();
           queue.pop_front();
         }
@@ -171,9 +170,7 @@ Result<size_t> DegradationEngine::RunDue(Micros now) {
             queue.push_back(unit);  // retry after the rest of the round
             continue;
           }
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (error.ok()) error = moved.status();
-          return;
+          return moved.status();
         }
         if (*moved == 0) continue;  // spurious wake-up: drop, re-collect next
         steps.fetch_add(1, std::memory_order_relaxed);
@@ -183,28 +180,15 @@ Result<size_t> DegradationEngine::RunDue(Micros now) {
       }
     };
 
+    // Helpers come from the shared pool (never blocks; a busy pool just
+    // yields fewer helpers) and drain alongside the caller. Priority
+    // dispatch: the pool's reserved tokens (WorkerPool::SetReserved, sized
+    // by ServiceOptions::reserved_degradation_workers) are visible only
+    // here, so overdue privacy steps fan out even when foreground scans
+    // hold every normal token — the degradation priority floor.
     const size_t workers = std::min<size_t>(
         std::max<size_t>(options_.worker_threads, 1), units.size());
-    if (workers <= 1) {
-      drain();
-    } else if (pool_ != nullptr) {
-      // Borrow helpers from the shared pool (never blocks; a busy pool just
-      // yields fewer helpers) and drain alongside them. Priority dispatch:
-      // the pool's reserved tokens (WorkerPool::SetReserved, sized by
-      // ServiceOptions::reserved_degradation_workers) are visible only
-      // here, so overdue privacy steps fan out even when foreground scans
-      // hold every normal token — the degradation priority floor.
-      WorkerPool::Ticket ticket;
-      pool_->TryDispatch(workers - 1, [&](size_t) { drain(); }, &ticket,
-                         /*priority=*/true);
-      drain();
-      pool_->Wait(&ticket);
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(workers);
-      for (size_t i = 0; i < workers; ++i) threads.emplace_back(drain);
-      for (std::thread& worker : threads) worker.join();
-    }
+    error = pool_->Run(workers, workers, drain, /*priority=*/true);
 
     delta.steps += steps.load();
     delta.values_moved += moved_round.load();

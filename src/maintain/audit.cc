@@ -5,7 +5,6 @@
 
 #include "common/strings.h"
 #include "util/morsel.h"
-#include "util/parallel.h"
 
 namespace instantdb {
 
@@ -73,7 +72,7 @@ AuditReport DeletionAuditor::Run(const std::vector<Table*>& tables, Micros now,
     // assembly. Scan errors surface as a Status and abort the whole sweep.
     MorselScheduler sched(table->MorselPlan(0));
     const size_t workers =
-        std::max<size_t>(1, std::min<size_t>(workers_, sched.total()));
+        std::max<size_t>(1, std::min<size_t>(pool_->size(), sched.total()));
     auto sweep = [&](size_t w) -> Status {
       Morsel morsel;
       std::vector<RowView> batch;
@@ -123,8 +122,7 @@ AuditReport DeletionAuditor::Run(const std::vector<Table*>& tables, Micros now,
       }
       return Status::OK();
     };
-    Status swept = pool_ != nullptr ? pool_->Run(workers, workers, sweep)
-                                    : ParallelFor(workers, workers, sweep);
+    Status swept = pool_->Run(workers, workers, sweep);
     if (swept.ok()) {
       // Index reconciliation stays partition-grained: AuditIndexes is one
       // shared-latch acquisition over the whole partition by design.
@@ -135,8 +133,7 @@ AuditReport DeletionAuditor::Run(const std::vector<Table*>& tables, Micros now,
         per[p].missing_index = index_counts.missing;
         return Status::OK();
       };
-      swept = pool_ != nullptr ? pool_->Run(workers_, parts, audit_indexes)
-                               : ParallelFor(workers_, parts, audit_indexes);
+      swept = pool_->Run(pool_->size(), parts, audit_indexes);
     }
     if (!swept.ok()) {
       // A partition that cannot even be read counts as exposed: the audit

@@ -97,10 +97,10 @@ struct AuditReport {
 ///
 /// One Run() proves (or refutes) timely degradation across every layer that
 /// holds sensitive bytes: table storage (page-range morsel sweeps over the
-/// same MorselScheduler the parallel read path shards on — `workers` sweep
-/// workers claim with partition affinity and steal from the busiest
-/// partition, so one large partition is shared instead of serializing the
-/// audit), the multi-resolution indexes (TablePartition::AuditIndexes —
+/// same MorselScheduler the parallel read path shards on — as many sweep
+/// workers as the pool has claim with partition affinity and steal from
+/// the busiest partition, so one large partition is shared instead of
+/// serializing the audit), the multi-resolution indexes (TablePartition::AuditIndexes —
 /// one shared-latch acquisition per partition, so a live degrader is never
 /// observed halfway), the WAL segment set (WalManager::AuditExposure) and
 /// the epoch keystore (WalManager::LingeringEpochKeys). Read-only: sweeps
@@ -108,10 +108,9 @@ struct AuditReport {
 /// writers or the degrader for longer than a scan batch.
 class DeletionAuditor {
  public:
-  /// `pool` (optional, not owned) is the Database's shared worker pool the
-  /// sweep borrows threads from; null spawns sweep threads per call.
-  DeletionAuditor(WalManager* wal, size_t workers, WorkerPool* pool = nullptr)
-      : wal_(wal), workers_(workers == 0 ? 1 : workers), pool_(pool) {}
+  /// `pool` (not owned) is the Database's shared worker pool the sweep
+  /// borrows helpers from; its size bounds the sweep's fan-out.
+  DeletionAuditor(WalManager* wal, WorkerPool* pool) : wal_(wal), pool_(pool) {}
 
   /// Sweeps `tables` at `now`, granting `grace` of slack: a value is
   /// exposed only when it is still too accurate for the LCP phase expected
@@ -123,8 +122,7 @@ class DeletionAuditor {
 
  private:
   WalManager* const wal_;
-  const size_t workers_;
-  WorkerPool* const pool_;  // shared Database pool, may be null
+  WorkerPool* const pool_;  // shared Database pool
 };
 
 }  // namespace instantdb

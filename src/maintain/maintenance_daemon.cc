@@ -18,8 +18,7 @@ MaintenanceDaemon::MaintenanceDaemon(Database* db,
                                      const MaintenanceOptions& options)
     : db_(db),
       options_(options),
-      auditor_(db->wal(), db->options().degradation.worker_threads,
-               db->worker_pool()) {}
+      auditor_(db->wal(), db->worker_pool()) {}
 
 MaintenanceDaemon::~MaintenanceDaemon() { Stop(); }
 

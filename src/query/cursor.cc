@@ -94,7 +94,7 @@ uint64_t Cursor::rows_returned() const { return impl_->rows_returned; }
 void Cursor::Close() {
   if (impl_ == nullptr || impl_->closed) return;
   impl_->closed = true;
-  impl_->source.reset();  // joins any prefetch workers
+  impl_->source.reset();  // waits out any scan helpers
   impl_->plan.reset();
   impl_->batch = CursorBatch{};
   impl_->batch_live = false;

@@ -118,25 +118,26 @@ class CursorRow {
 /// \endcode
 ///
 /// **Parallel fan-out.** The scan side runs at the session's
-/// `ScanOptions::parallelism` (0 = match the database's worker pool,
-/// clamped to the table's partition count). At parallelism 1 the consumer's
-/// thread walks partitions in order — rows come out in (partition, heap)
-/// order, no extra threads. At parallelism N ≥ 2, N prefetch workers drain
-/// distinct partitions into a bounded batch queue while the consumer pulls:
-/// scan I/O on one partition overlaps σ/π of another's batch, and rows
-/// interleave across partitions in arrival order (no global order). Either
-/// way `Next` is a view into the current batch and `NextBatch` exposes the
-/// batches themselves — the bulk API the benches drain.
+/// `ScanOptions::parallelism` (0 = match the database's worker pool). The
+/// unit of parallelism is the morsel, a page range of one partition, so the
+/// fan-out is not clamped to the partition count. The consumer's thread
+/// always scans morsels itself, helped by however many pool workers are
+/// free when the cursor opens (at most parallelism − 1); no thread is ever
+/// spawned for a scan. With helpers, their batches arrive through a bounded
+/// queue and rows interleave across morsels in arrival order (no global
+/// order). At parallelism 1 the consumer scans alone and rows come out in
+/// (partition, heap) order. Either way `Next` is a view into the current
+/// batch and `NextBatch` exposes the batches themselves — the bulk API the
+/// benches drain.
 ///
 /// Isolation is snapshot-per-batch at every parallelism: each scan batch is
 /// assembled under one partition's shared latch, rows inserted, deleted or
 /// degraded while the cursor is open may or may not be observed (never
 /// torn), and a row physically relocated by a concurrent update can be
-/// missed or seen twice. Materialized reads through `Session::Execute` are
-/// not subject to this — they drain each partition atomically (on the
-/// worker pool, merged in partition order). Aggregate/GROUP BY statements
-/// are supported but buffer their (small) aggregated result before
-/// streaming it.
+/// missed or seen twice. Materialized reads through `Session::Execute` have
+/// the same per-batch isolation; they return rows in (partition, heap)
+/// order at any parallelism. Aggregate/GROUP BY statements are supported
+/// but buffer their (small) aggregated result before streaming it.
 class Cursor {
  public:
   ~Cursor();
@@ -161,7 +162,7 @@ class Cursor {
   /// drain, which would otherwise deep-copy the whole result.
   Result<bool> NextBatch(CursorBatch** out);
 
-  /// Releases pipeline resources early (stopping any prefetch workers);
+  /// Releases pipeline resources early (stopping any scan helpers);
   /// Next/NextBatch return false afterwards. Also run by the destructor.
   void Close();
 
@@ -174,9 +175,8 @@ class Cursor {
   ///
   /// `scan_batch_rows` bounds how many rows one heap-scan batch assembles
   /// under a partition's shared latch. The streaming default (0) keeps
-  /// memory bounded; `Session::Execute` drains with SIZE_MAX, which scans
-  /// every partition atomically under its latch and keeps the pre-cursor
-  /// executor's read consistency.
+  /// memory bounded; `Session::Execute` passes SIZE_MAX, which materializes
+  /// the whole result on the worker pool in (partition, heap) order.
   static Result<std::unique_ptr<Cursor>> Open(Session* session,
                                               const StatementAst& statement,
                                               size_t scan_batch_rows = 0);

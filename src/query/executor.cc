@@ -17,9 +17,8 @@ namespace {
 /// just "drain into a QueryResult".
 Result<QueryResult> DrainSelectCursor(Session* session,
                                       const StatementAst& statement) {
-  // SIZE_MAX batch: every partition is scanned atomically under its shared
-  // latch (fanned out over the worker pool, merged in partition order), so
-  // a materialized Execute keeps the pre-cursor snapshot semantics.
+  // SIZE_MAX batch: the scan materializes on the worker pool and merges
+  // its per-morsel results in (partition, heap) order.
   IDB_ASSIGN_OR_RETURN(std::unique_ptr<Cursor> cursor,
                        Cursor::Open(session, statement, SIZE_MAX));
   QueryResult result;

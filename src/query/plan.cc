@@ -6,13 +6,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
+#include <functional>
 #include <mutex>
 
 #include "common/cancel.h"
 #include "common/strings.h"
 #include "query/predicate.h"
 #include "util/morsel.h"
-#include "util/parallel.h"
 #include "util/worker_pool.h"
 
 namespace instantdb {
@@ -20,8 +20,8 @@ namespace plan {
 
 namespace {
 
-/// Batch size of the materializing (SnapshotScanSource / aggregate
-/// pushdown) morsel drains: large enough that latch reacquisition is noise,
+/// Batch size of the materializing and aggregate sinks of the morsel loop
+/// (MorselScan): large enough that latch reacquisition is noise,
 /// small enough that a batch never holds a partition latch for long.
 constexpr size_t kMaterializedScanBatchRows = 1024;
 
@@ -261,410 +261,315 @@ bool EvalDegradablePredicate(const DomainHierarchy& hierarchy,
   return false;
 }
 
-/// Streams the heap sequentially in batches of `batch_rows` RowViews,
-/// walking the table's partitions in order (the resume position carries the
-/// current partition plus the heap position inside it) and re-acquiring one
-/// partition's shared latch per batch so a slow consumer never blocks
-/// writers or the degrader on any partition. Isolation is
-/// snapshot-per-batch (standard cursor semantics): rows inserted, deleted
-/// or degraded between two pulls may or may not be observed. This is the
-/// resolved-parallelism-1 path: no threads, rows in (partition, heap)
-/// order.
-class HeapScanSource : public RowSource {
+/// The morsel plan a scan of `parallelism` claimers drains. A single
+/// claimer gets every partition's morsels flattened into one queue: the
+/// scheduler's steal-from-busiest would otherwise jump to the largest
+/// partition once partition 0 runs dry, and a parallelism-1 scan must
+/// return rows in (partition, page) order.
+std::vector<std::vector<Morsel>> PlanMorsels(const Table& table,
+                                             uint32_t morsel_pages,
+                                             size_t parallelism) {
+  std::vector<std::vector<Morsel>> plan = table.MorselPlan(morsel_pages);
+  if (parallelism > 1 || plan.size() <= 1) return plan;
+  for (size_t p = 1; p < plan.size(); ++p) {
+    plan[0].insert(plan[0].end(), plan[p].begin(), plan[p].end());
+  }
+  plan.resize(1);
+  return plan;
+}
+
+/// \brief One heap scan: the single morsel loop behind every heap-scan
+/// path — streaming cursors, materialized reads and aggregate pushdown.
+///
+/// The fan-out is resolved and the morsel plan built once, here. Each
+/// claimer (the calling thread or a borrowed pool worker) repeats Step:
+/// claim a page-range morsel from the shared work-stealing scheduler
+/// (partition-affine home queues, stealing from the busiest partition, so
+/// parallelism is not capped by the partition count) → open its cursor →
+/// check the statement budget → fetch one batch under that partition's
+/// shared latch → fold the scan counters → evaluate σ into the claimer's
+/// batch. The sinks differ only in what they do with that batch.
+/// Isolation is snapshot-per-batch on every path: a concurrent degrader
+/// may land between two batches of one morsel.
+class MorselScan {
  public:
-  HeapScanSource(Session* session, const BoundQuery& query, size_t batch_rows)
-      : read_options_(session->read_options()),
-        counters_(session->db()->scan_counters()),
-        budget_(ScanBudget::Of(session)),
-        query_(query),
-        batch_rows_(batch_rows),
-        pushdown_(session->scan_options().pushdown),
-        filter_(query.table->schema(), query.predicates) {
-    spec_.filter = filter_.empty() ? nullptr : &filter_;
-    spec_.need_degradable = !query.referenced_degradable.empty();
-  }
+  /// One claimer's private state: a stable id for morsel affinity (claimer
+  /// w's home queue is partition w % partitions), the morsel being
+  /// drained, scratch, and the qualifying rows of its latest batch.
+  struct Claimer {
+    explicit Claimer(size_t id) : id(id) {}
+    const size_t id;
+    Morsel morsel;
+    PartitionCursor cursor;
+    bool draining = false;  // `cursor` has rows of `morsel` left
+    ScanWorkspace ws;
+    std::vector<RowView> views;
+    EvaluatedBatch batch;
+  };
 
-  Result<bool> NextBatch(EvaluatedBatch* out) override {
-    out->Clear();
-    // Keep pulling heap batches until one yields a qualifying row (a batch
-    // may be fully filtered by σ) or the scan ends.
-    while (out->size == 0) {
-      if (done_) return false;
-      IDB_RETURN_IF_ERROR(budget_.Check());
-      if (pushdown_) {
-        IDB_RETURN_IF_ERROR(PullPushdownBatch());
-      } else {
-        views_.clear();
-        IDB_RETURN_IF_ERROR(
-            query_.table->ScanBatch(&pos_, batch_rows_, &views_, &done_));
-        if (!views_.empty()) {
-          counters_->batches.fetch_add(1, std::memory_order_relaxed);
-          counters_->rows.fetch_add(views_.size(), std::memory_order_relaxed);
-        }
-      }
-      if (views_.empty()) continue;  // exhausted or fully prefiltered
-      EvaluateViews(query_, read_options_, views_, out, pushdown_);
-    }
-    return true;
-  }
-
- private:
-  /// One latched chunk from the current partition's pushdown cursor,
-  /// advancing to the next partition on exhaustion. Partition order is the
-  /// legacy path's (partition, heap) order.
-  Status PullPushdownBatch() {
-    if (!cursor_open_) {
-      if (partition_ >= query_.table->num_partitions()) {
-        done_ = true;
-        views_.clear();
-        return Status::OK();
-      }
-      cursor_ = query_.table->OpenPartitionCursor(partition_);
-      cursor_open_ = true;
-    }
-    ScanDeltas deltas;
-    bool partition_done = false;
-    IDB_RETURN_IF_ERROR(cursor_.NextBatch(batch_rows_, spec_, &ws_, &views_,
-                                          &partition_done, &deltas));
-    if (partition_done) {
-      cursor_open_ = false;
-      ++partition_;
-      if (partition_ >= query_.table->num_partitions()) done_ = true;
-    }
-    if (deltas.rows_scanned > 0) {
-      counters_->batches.fetch_add(1, std::memory_order_relaxed);
-      FoldDeltas(counters_, deltas);
-    }
-    return Status::OK();
-  }
-
-  const ReadOptions read_options_;
-  Database::ScanCounters* const counters_;
-  const ScanBudget budget_;
-  const BoundQuery& query_;
-  const size_t batch_rows_;
-  const bool pushdown_;
-  const StablePredicateFilter filter_;
-  ScanSpec spec_;
-  ScanWorkspace ws_;
-  TableScanPos pos_;
-  uint32_t partition_ = 0;
-  PartitionCursor cursor_;
-  bool cursor_open_ = false;
-  bool done_ = false;
-  std::vector<RowView> views_;
-};
-
-/// Morsel fan-out source: `workers` prefetch threads claim page-range
-/// morsels from the shared MorselScheduler (partition-affine home queues,
-/// stealing from the busiest partition when their own runs dry — so
-/// parallelism is not capped by the partition count and one skewed
-/// partition is shared), pull ScanBatch batches under that partition's
-/// shared latch, run whole-batch σ, and push the qualifying batches into a
-/// bounded queue the consumer drains. Per-batch snapshot semantics are
-/// exactly the sequential source's — parallelism changes only which
-/// morsels' batches interleave, never what one batch may contain. Producer
-/// threads are borrowed from the Database's shared worker pool when it has
-/// idle capacity; the shortfall is spawned, because a streaming consumer
-/// waits on `producers_live_ > 0` and the producer count must therefore be
-/// guaranteed, not best-effort. Batch storage circulates: drained batches
-/// return to a spare pool the workers refill, so a steady-state scan stops
-/// allocating. The queue bound backpressures workers when the consumer is
-/// slow; the consumer counts a prefetch stall each time it finds the queue
-/// empty while workers are still producing.
-class ParallelScanSource : public RowSource {
- public:
-  ParallelScanSource(Session* session, const BoundQuery& query,
-                     size_t batch_rows, size_t workers, size_t queue_batches,
-                     std::vector<std::vector<Morsel>> plan)
+  MorselScan(Session* session, const BoundQuery& query, size_t batch_rows)
       : read_options_(session->read_options()),
         counters_(session->db()->scan_counters()),
         budget_(ScanBudget::Of(session)),
         pool_(session->db()->worker_pool()),
         query_(query),
         batch_rows_(batch_rows),
-        queue_capacity_(std::max<size_t>(queue_batches, 1)),
         pushdown_(session->scan_options().pushdown),
         filter_(query.table->schema(), query.predicates),
-        sched_(std::move(plan),
+        parallelism_(ResolveScanParallelism(session, *query.table)),
+        sched_(PlanMorsels(*query.table, session->scan_options().morsel_pages,
+                           parallelism_),
                MorselStatsSink{&counters_->morsels_claimed,
                                &counters_->morsels_stolen,
-                               &counters_->steal_failures}) {
+                               &counters_->steal_failures}),
+        claimers_(std::max<size_t>(1, std::min(parallelism_, sched_.total()))) {
     spec_.filter = filter_.empty() ? nullptr : &filter_;
     spec_.need_degradable = !query.referenced_degradable.empty();
-    // The shortfall must be computed from the immutable `want`, never from
-    // producers_live_: borrowed pool producers start (and may finish,
-    // decrementing producers_live_) while this constructor is still running.
-    const size_t want = std::max<size_t>(workers, 1);
-    producers_live_ = want;
-    const size_t borrowed = pool_->TryDispatch(
-        want, [this](size_t) { ProduceLoop(); }, &ticket_);
-    if (borrowed < want) {
-      runner_.Start(want - borrowed, [this](size_t) { ProduceLoop(); });
-    }
   }
 
-  ~ParallelScanSource() override {
-    {
-      // The lock orders the store against a producer's wait predicate so
-      // the notify cannot fall between its check and its sleep.
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_.store(true, std::memory_order_relaxed);
+  /// Claimers the scan wants: the resolved parallelism clamped to the
+  /// morsel-plan size. How many actually run is capped by the pool's free
+  /// workers plus the caller.
+  size_t claimers() const { return claimers_; }
+  size_t morsels() const { return sched_.total(); }
+  const ScanBudget& budget() const { return budget_; }
+  Database::ScanCounters* counters() const { return counters_; }
+  WorkerPool* pool() const { return pool_; }
+
+  /// One turn of the loop for `c`, replacing `c->batch` with the
+  /// qualifying rows of one heap batch of `c->morsel` (possibly none).
+  /// Returns false once the scheduler has nothing left for `c`.
+  Result<bool> Step(Claimer* c) {
+    c->batch.Clear();
+    if (!c->draining) {
+      if (!sched_.Claim(c->id, &c->morsel)) return false;
+      c->cursor = query_.table->OpenMorselCursor(c->morsel);
+      c->draining = true;
     }
-    cv_.notify_all();
-    runner_.Join();
-    pool_->Wait(&ticket_);
+    IDB_RETURN_IF_ERROR(budget_.Check());
+    bool done = false;
+    ScanDeltas deltas;
+    if (pushdown_) {
+      IDB_RETURN_IF_ERROR(c->cursor.NextBatch(batch_rows_, spec_, &c->ws,
+                                              &c->views, &done, &deltas));
+    } else {
+      // Reference path: full RowView assembly, every conjunct after it.
+      c->views.clear();
+      IDB_RETURN_IF_ERROR(c->cursor.NextBatch(batch_rows_, &c->views, &done));
+      deltas.rows_scanned = c->views.size();
+    }
+    c->draining = !done;
+    if (deltas.rows_scanned > 0) {
+      counters_->batches.fetch_add(1, std::memory_order_relaxed);
+      FoldDeltas(counters_, deltas);
+    }
+    EvaluateViews(query_, read_options_, c->views, &c->batch, pushdown_);
+    return true;
   }
 
-  Result<bool> NextBatch(EvaluatedBatch* out) override {
-    std::unique_lock<std::mutex> lock(mu_);
-    bool stalled = false;
-    while (true) {
-      if (!error_.ok()) return error_;
-      // Consumer-side budget probe, ahead of the queue: once the deadline
-      // passes (or the token trips) the cursor reports it on the very next
-      // pull, even when scanned batches are still buffered — a doomed
-      // statement must not keep streaming stale work.
-      IDB_RETURN_IF_ERROR(budget_.Check());
-      if (!queue_.empty()) {
-        out->Clear();
-        out->Swap(&queue_.front());
-        // The swapped-out storage (the consumer's previous batch) goes back
-        // to the spare pool for a worker to refill.
-        spares_.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-        cv_.notify_all();
-        return true;
+  /// Runs the loop to exhaustion on up to claimers() participants — the
+  /// caller plus whatever pool workers are free right now — handing each
+  /// non-empty batch to `sink` on its claimer's thread.
+  Status Drain(const std::function<void(Claimer*)>& sink) {
+    return pool_->Run(claimers_, claimers_, [&](size_t id) -> Status {
+      Claimer claimer(id);
+      for (;;) {
+        IDB_ASSIGN_OR_RETURN(const bool more, Step(&claimer));
+        if (!more) return Status::OK();
+        if (claimer.batch.size > 0) sink(&claimer);
       }
-      if (producers_live_ == 0) return false;
-      // One stall per pull that found the queue empty — not one per wakeup,
-      // or producer-exit notifications would inflate the producer-bound
-      // signal the benches read.
-      if (!stalled) {
-        stalled = true;
-        counters_->prefetch_stalls.fetch_add(1, std::memory_order_relaxed);
-      }
-      cv_.wait(lock);
-    }
+    });
   }
 
  private:
-  void ProduceLoop() {
-    // Stable worker id for morsel affinity: worker w's home queue is
-    // partition w % partitions, so distinct producers start on distinct
-    // partitions and only meet on one when stealing.
-    const size_t worker = worker_ids_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<RowView> views;
-    EvaluatedBatch batch;
-    ScanWorkspace ws;
-    Status status;
-    Morsel morsel;
-    for (;;) {
-      // Morsel-claim budget check: a producer whose statement timed out or
-      // was cancelled stops claiming; the error wakes the consumer and the
-      // destructor's join/Wait releases every borrowed pool token.
-      status = budget_.Check();
-      if (!status.ok()) break;
-      if (!sched_.Claim(worker, &morsel)) break;
-      PartitionCursor cursor = query_.table->OpenMorselCursor(morsel);
-      bool done = false;
-      while (!done) {
-        // An early Close (cursor dropped mid-stream) must not keep workers
-        // scanning the rest of the table before the destructor can join.
-        if (closed_.load(std::memory_order_relaxed)) return;
-        status = budget_.Check();
-        if (!status.ok()) break;
-        if (pushdown_) {
-          ScanDeltas deltas;
-          status =
-              cursor.NextBatch(batch_rows_, spec_, &ws, &views, &done, &deltas);
-          if (!status.ok()) break;
-          if (deltas.rows_scanned > 0) {
-            counters_->batches.fetch_add(1, std::memory_order_relaxed);
-            FoldDeltas(counters_, deltas);
-          }
-        } else {
-          views.clear();
-          status = cursor.NextBatch(batch_rows_, &views, &done);
-          if (!status.ok()) break;
-          if (!views.empty()) {
-            counters_->batches.fetch_add(1, std::memory_order_relaxed);
-            counters_->rows.fetch_add(views.size(), std::memory_order_relaxed);
-          }
-        }
-        if (views.empty()) continue;
-        batch.Clear();
-        EvaluateViews(query_, read_options_, views, &batch, pushdown_);
-        if (batch.size == 0) continue;  // fully filtered: recycle in place,
-                                        // no reason to touch the queue lock
-        std::unique_lock<std::mutex> lock(mu_);
-        while (queue_.size() >= queue_capacity_ &&
-               !closed_.load(std::memory_order_relaxed)) {
-          cv_.wait(lock);
-        }
-        if (closed_.load(std::memory_order_relaxed)) return;
-        queue_.emplace_back();
-        queue_.back().Swap(&batch);
-        if (!spares_.empty()) {
-          // Refill our working storage from the spare pool so the batch we
-          // just published keeps its buffers.
-          batch.Swap(&spares_.back());
-          spares_.pop_back();
-        }
-        cv_.notify_all();
-      }
-      if (!status.ok()) break;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!status.ok() && error_.ok()) error_ = status;
-    --producers_live_;
-    cv_.notify_all();
-  }
-
   const ReadOptions read_options_;
   Database::ScanCounters* const counters_;
   const ScanBudget budget_;
   WorkerPool* const pool_;
   const BoundQuery& query_;
   const size_t batch_rows_;
-  const size_t queue_capacity_;
   const bool pushdown_;
   const StablePredicateFilter filter_;
   ScanSpec spec_;
+  const size_t parallelism_;
   MorselScheduler sched_;
+  const size_t claimers_;
+};
+
+/// Appends `from`'s rows to `to`, leaving `from` empty: a swap when `to`
+/// holds nothing yet (the common case — most morsels fit one batch).
+void AppendBatch(EvaluatedBatch* from, EvaluatedBatch* to) {
+  if (to->size == 0) {
+    to->Swap(from);
+  } else {
+    for (size_t i = 0; i < from->size; ++i) {
+      *to->Add() = std::move(from->rows[i]);
+    }
+  }
+  from->Clear();
+}
+
+/// Streaming sink: the consumer thread is always a claimer — whenever the
+/// queue is empty it scans its own next batch inline — helped by however
+/// many pool workers TryDispatch lends when the cursor opens, whose
+/// qualifying batches flow through a bounded queue. No thread is ever
+/// spawned: a saturated pool leaves the consumer scanning alone. At
+/// parallelism 1 the consumer always does, over a one-queue plan, so rows
+/// come out in (partition, page) order; otherwise they interleave across
+/// morsels in arrival order. Batch storage circulates through a spare
+/// pool, so a steady-state scan stops allocating. The queue bound
+/// backpressures helpers when the consumer is slow; the consumer counts a
+/// prefetch stall each time its own claims are dry and it has to wait for
+/// a helper's batch.
+class StreamingScanSource : public RowSource {
+ public:
+  StreamingScanSource(Session* session, const BoundQuery& query,
+                      size_t batch_rows)
+      : scan_(session, query, batch_rows),
+        queue_capacity_(session->scan_options().prefetch_batches != 0
+                            ? session->scan_options().prefetch_batches
+                            : 2 * scan_.claimers()) {
+    if (scan_.claimers() == 1) return;
+    // Under mu_, so a helper that finishes at once cannot decrement
+    // helpers_live_ before it is set.
+    std::lock_guard<std::mutex> lock(mu_);
+    helpers_live_ = scan_.pool()->TryDispatch(
+        scan_.claimers() - 1, [this](size_t slot) { Help(slot + 1); },
+        &ticket_);
+  }
+
+  ~StreamingScanSource() override {
+    {
+      // The lock orders the store against a helper's wait predicate so the
+      // notify cannot fall between its check and its sleep.
+      std::lock_guard<std::mutex> lock(mu_);
+      closed_.store(true, std::memory_order_relaxed);
+    }
+    cv_.notify_all();
+    scan_.pool()->Wait(&ticket_);
+  }
+
+  Result<bool> NextBatch(EvaluatedBatch* out) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    bool stalled = false;
+    for (;;) {
+      if (!error_.ok()) return error_;
+      // Budget probe ahead of the queue: a doomed statement must not keep
+      // streaming batches the helpers already buffered.
+      IDB_RETURN_IF_ERROR(scan_.budget().Check());
+      if (!queue_.empty()) {
+        out->Clear();
+        out->Swap(&queue_.front());
+        // The consumer's previous batch storage goes back to the spare
+        // pool for a helper to refill.
+        spares_.push_back(std::move(queue_.front()));
+        queue_.pop_front();
+        cv_.notify_all();
+        return true;
+      }
+      if (consumer_more_) {
+        lock.unlock();
+        Result<bool> more = scan_.Step(&consumer_);
+        lock.lock();
+        if (!more.ok()) {
+          error_ = more.status();
+          return error_;
+        }
+        consumer_more_ = *more;
+        if (consumer_.batch.size > 0) {
+          out->Swap(&consumer_.batch);
+          return true;
+        }
+        continue;
+      }
+      if (helpers_live_ == 0) return false;
+      // One stall per pull, not per wakeup: helper-exit notifications must
+      // not inflate the producer-bound signal the benches read.
+      if (!stalled) {
+        stalled = true;
+        scan_.counters()->prefetch_stalls.fetch_add(1,
+                                                    std::memory_order_relaxed);
+      }
+      cv_.wait(lock);
+    }
+  }
+
+ private:
+  void Help(size_t id) {
+    MorselScan::Claimer claimer(id);
+    Status status;
+    // An early Close (cursor dropped mid-stream) must not keep helpers
+    // scanning the rest of the table before the destructor's Wait.
+    while (!closed_.load(std::memory_order_relaxed)) {
+      Result<bool> more = scan_.Step(&claimer);
+      if (!more.ok()) {
+        status = more.status();
+        break;
+      }
+      if (!*more) break;
+      if (claimer.batch.size == 0) continue;  // fully filtered: no lock
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [&] {
+        return queue_.size() < queue_capacity_ ||
+               closed_.load(std::memory_order_relaxed);
+      });
+      if (closed_.load(std::memory_order_relaxed)) break;
+      queue_.emplace_back();
+      queue_.back().Swap(&claimer.batch);
+      if (!spares_.empty()) {
+        claimer.batch.Swap(&spares_.back());
+        spares_.pop_back();
+      }
+      cv_.notify_all();
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!status.ok() && error_.ok()) error_ = status;
+    --helpers_live_;
+    cv_.notify_all();
+  }
+
+  MorselScan scan_;
+  const size_t queue_capacity_;
+  /// Touched only by the consumer thread.
+  MorselScan::Claimer consumer_{0};
+  bool consumer_more_ = true;
 
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<EvaluatedBatch> queue_;
   std::vector<EvaluatedBatch> spares_;
   Status error_;
-  size_t producers_live_ = 0;
-  /// Atomic so producers can poll it between batches without the mutex.
+  size_t helpers_live_ = 0;
+  /// Atomic so helpers can poll it between batches without the mutex.
   std::atomic<bool> closed_{false};
-  std::atomic<size_t> worker_ids_{0};
   WorkerPool::Ticket ticket_;
-  ParallelRunner runner_;
 };
 
-/// Materializing-path source: workers claim page-range morsels from a
-/// shared MorselScheduler and drain each under that partition's shared
-/// latch a batch at a time, with σ applied as the batches stream — so only
-/// qualifying rows are ever held. Snapshot semantics are per batch (the
-/// streaming cursor's), not per partition: a concurrent degrader may land
-/// between two batches of one partition, which every caller already had to
-/// tolerate across partitions. Workers are borrowed from the Database's
-/// shared pool (small tables resolve to 1 and stay inline), and the
-/// per-morsel results merge in morsel-ordinal order — (partition,
-/// begin_page) ascending — so the output order matches the sequential
-/// scan's regardless of parallelism or stealing. Used when the caller asks
-/// for an unbounded batch (Session::Execute, DELETE, aggregates).
-class SnapshotScanSource : public RowSource {
+/// Materializing sink: one bucket per morsel, concatenated in ordinal
+/// order — (partition, begin_page) ascending — so rows come out in the
+/// parallelism-1 order no matter which claimer drained what. Used when
+/// the caller asks for an unbounded batch (Session::Execute, DELETE,
+/// GROUP BY).
+class MaterializedScanSource : public RowSource {
  public:
-  SnapshotScanSource(Session* session, const BoundQuery& query,
-                     size_t workers)
-      : session_(session),
-        query_(query),
-        workers_(workers),
-        pushdown_(session->scan_options().pushdown),
-        filter_(query.table->schema(), query.predicates) {
-    spec_.filter = filter_.empty() ? nullptr : &filter_;
-    spec_.need_degradable = !query.referenced_degradable.empty();
-  }
+  MaterializedScanSource(Session* session, const BoundQuery& query)
+      : scan_(session, query, kMaterializedScanBatchRows) {}
 
   Result<bool> NextBatch(EvaluatedBatch* out) override {
-    if (!scanned_) {
-      scanned_ = true;
-      IDB_RETURN_IF_ERROR(ScanAll());
-    }
-    if (served_ || result_.size == 0) return false;
-    served_ = true;
+    if (scanned_) return false;
+    scanned_ = true;
+    std::vector<EvaluatedBatch> buckets(scan_.morsels());
+    IDB_RETURN_IF_ERROR(scan_.Drain([&](MorselScan::Claimer* c) {
+      AppendBatch(&c->batch, &buckets[c->morsel.ordinal]);
+    }));
     out->Clear();
-    out->Swap(&result_);
-    return true;
+    for (EvaluatedBatch& bucket : buckets) AppendBatch(&bucket, out);
+    return out->size > 0;
   }
 
  private:
-  Status ScanAll() {
-    const Table* table = query_.table;
-    const ReadOptions read_options = session_->read_options();
-    auto* counters = session_->db()->scan_counters();
-    MorselScheduler sched(
-        table->MorselPlan(session_->scan_options().morsel_pages),
-        MorselStatsSink{&counters->morsels_claimed, &counters->morsels_stolen,
-                        &counters->steal_failures});
-    const size_t workers =
-        std::max<size_t>(1, std::min(workers_, sched.total()));
-    // One bucket per morsel, concatenated in ordinal order below: ordinals
-    // are assigned in (partition, begin_page) order, so the merged output
-    // is the sequential scan's order no matter which worker drained what.
-    const ScanBudget budget = ScanBudget::Of(session_);
-    std::vector<std::vector<EvaluatedRow>> per_morsel(sched.total());
-    auto drain = [&](size_t w) -> Status {
-      Morsel morsel;
-      ScanWorkspace ws;
-      EvaluatedRow row;
-      std::vector<RowView> views;
-      while (sched.Claim(w, &morsel)) {
-        IDB_RETURN_IF_ERROR(budget.Check());
-        std::vector<EvaluatedRow>& bucket = per_morsel[morsel.ordinal];
-        PartitionCursor cursor = table->OpenMorselCursor(morsel);
-        bool done = false;
-        while (!done) {
-          IDB_RETURN_IF_ERROR(budget.Check());
-          if (pushdown_) {
-            // Stable predicates run on the decoded tuples and stores are
-            // probed only for the survivors, exactly as on the streaming
-            // path.
-            ScanDeltas deltas;
-            IDB_RETURN_IF_ERROR(cursor.NextBatch(kMaterializedScanBatchRows,
-                                                 spec_, &ws, &views, &done,
-                                                 &deltas));
-            if (deltas.rows_scanned > 0) {
-              counters->batches.fetch_add(1, std::memory_order_relaxed);
-              FoldDeltas(counters, deltas);
-            }
-            for (const RowView& view : views) {
-              if (EvaluateRow(query_, read_options, view, &row,
-                              /*stable_prefiltered=*/true)) {
-                bucket.push_back(std::move(row));
-              }
-            }
-          } else {
-            views.clear();
-            IDB_RETURN_IF_ERROR(
-                cursor.NextBatch(kMaterializedScanBatchRows, &views, &done));
-            if (!views.empty()) {
-              counters->batches.fetch_add(1, std::memory_order_relaxed);
-              counters->rows.fetch_add(views.size(),
-                                       std::memory_order_relaxed);
-            }
-            for (const RowView& view : views) {
-              if (EvaluateRow(query_, read_options, view, &row)) {
-                bucket.push_back(std::move(row));
-              }
-            }
-          }
-        }
-      }
-      return Status::OK();
-    };
-    IDB_RETURN_IF_ERROR(
-        session_->db()->worker_pool()->Run(workers, workers, drain));
-    for (auto& rows : per_morsel) {
-      for (EvaluatedRow& row : rows) *result_.Add() = std::move(row);
-    }
-    return Status::OK();
-  }
-
-  Session* const session_;
-  const BoundQuery& query_;
-  const size_t workers_;
-  const bool pushdown_;
-  const StablePredicateFilter filter_;
-  ScanSpec spec_;
+  MorselScan scan_;
   bool scanned_ = false;
-  bool served_ = false;
-  EvaluatedBatch result_;
 };
 
 /// Probes the multi-resolution index once (row ids only — cheap), then
@@ -884,30 +789,12 @@ Result<std::unique_ptr<RowSource>> MakeRowSource(Session* session,
         scan_batch_rows == SIZE_MAX ? kStreamingScanBatchRows
                                     : scan_batch_rows));
   }
-  size_t parallelism = ResolveScanParallelism(session, *query.table);
   if (scan_batch_rows == SIZE_MAX) {
     return std::unique_ptr<RowSource>(
-        new SnapshotScanSource(session, query, parallelism));
+        new MaterializedScanSource(session, query));
   }
-  std::vector<std::vector<Morsel>> plan;
-  if (parallelism > 1) {
-    // Clamp the fan-out to the actual work: a table one morsel long gains
-    // nothing from prefetch workers or the bounded-queue machinery, and a
-    // two-morsel table needs at most two producers.
-    plan = query.table->MorselPlan(session->scan_options().morsel_pages);
-    size_t total = 0;
-    for (const auto& queue : plan) total += queue.size();
-    parallelism = std::min(parallelism, total);
-  }
-  if (parallelism <= 1) {
-    return std::unique_ptr<RowSource>(
-        new HeapScanSource(session, query, scan_batch_rows));
-  }
-  size_t queue_batches = session->scan_options().prefetch_batches;
-  if (queue_batches == 0) queue_batches = 2 * parallelism;
   return std::unique_ptr<RowSource>(
-      new ParallelScanSource(session, query, scan_batch_rows, parallelism,
-                             queue_batches, std::move(plan)));
+      new StreamingScanSource(session, query, scan_batch_rows));
 }
 
 Result<SelectPlan> BindSelect(Session* session, const SelectAst& ast) {
@@ -1023,8 +910,8 @@ void FoldAggregateRow(const SelectPlan& select, const EvaluatedRow& row,
   }
 }
 
-/// Merge is associative over per-partition partials: counts and sums add,
-/// extrema compare — so partition order never matters.
+/// Merge is associative over per-claimer partials: counts and sums add,
+/// extrema compare — so claim order never matters.
 void MergePartials(const AggregatePartials& in, AggregatePartials* out) {
   out->count += in.count;
   for (size_t i = 0; i < in.sums.size(); ++i) {
@@ -1045,69 +932,29 @@ void MergePartials(const AggregatePartials& in, AggregatePartials* out) {
 
 Result<AggregatePartials> ExecuteAggregatePushdown(Session* session,
                                                    const SelectPlan& select) {
-  const BoundQuery& query = select.query;
-  const Table* table = query.table;
-  const ReadOptions read_options = session->read_options();
-  auto* counters = session->db()->scan_counters();
-
-  const StablePredicateFilter filter(table->schema(), query.predicates);
-  ScanSpec spec;
-  spec.filter = filter.empty() ? nullptr : &filter;
-  // COUNT(*)/stable-only aggregates reference no degradable column: the scan
-  // never touches a state store at all.
-  spec.need_degradable = !query.referenced_degradable.empty();
-
-  MorselScheduler sched(
-      table->MorselPlan(session->scan_options().morsel_pages),
-      MorselStatsSink{&counters->morsels_claimed, &counters->morsels_stolen,
-                      &counters->steal_failures});
-  const size_t workers =
-      std::max<size_t>(1, std::min(ResolveScanParallelism(session, *table),
-                                   sched.total()));
-  // One partial per WORKER, not per partition: a worker folds every morsel
-  // it claims — home partition or stolen — into its own accumulator, and
-  // merge associativity makes the claim order irrelevant.
-  const ScanBudget budget = ScanBudget::Of(session);
-  std::vector<AggregatePartials> partials(workers);
-  auto drain = [&](size_t w) -> Status {
-    AggregatePartials& agg = partials[w];
-    InitPartials(select.items.size(), &agg);
-    ScanWorkspace ws;
-    EvaluatedRow row;
-    std::vector<RowView> views;
-    Morsel morsel;
-    while (sched.Claim(w, &morsel)) {
-      IDB_RETURN_IF_ERROR(budget.Check());
-      PartitionCursor cursor = table->OpenMorselCursor(morsel);
-      bool done = false;
-      while (!done) {
-        IDB_RETURN_IF_ERROR(budget.Check());
-        ScanDeltas deltas;
-        IDB_RETURN_IF_ERROR(cursor.NextBatch(kMaterializedScanBatchRows, spec,
-                                             &ws, &views, &done, &deltas));
-        if (deltas.rows_scanned > 0) {
-          counters->batches.fetch_add(1, std::memory_order_relaxed);
-          FoldDeltas(counters, deltas);
-        }
-        for (const RowView& view : views) {
-          if (EvaluateRow(query, read_options, view, &row,
-                          /*stable_prefiltered=*/true)) {
-            FoldAggregateRow(select, row, &agg);
-          }
-        }
-      }
+  // One partial per CLAIMER, not per partition: a claimer folds every
+  // morsel it claims — home partition or stolen — into its own
+  // accumulator, and merge associativity makes the claim order irrelevant.
+  // A query referencing no degradable column (COUNT(*) over stable
+  // predicates) never touches a state store at all.
+  MorselScan scan(session, select.query, kMaterializedScanBatchRows);
+  std::vector<AggregatePartials> partials(scan.claimers());
+  for (AggregatePartials& partial : partials) {
+    InitPartials(select.items.size(), &partial);
+  }
+  IDB_RETURN_IF_ERROR(scan.Drain([&](MorselScan::Claimer* c) {
+    for (size_t i = 0; i < c->batch.size; ++i) {
+      FoldAggregateRow(select, c->batch.rows[i], &partials[c->id]);
     }
-    return Status::OK();
-  };
-  IDB_RETURN_IF_ERROR(session->db()->worker_pool()->Run(workers, workers, drain));
+  }));
 
   AggregatePartials merged;
   InitPartials(select.items.size(), &merged);
   for (const AggregatePartials& partial : partials) {
     MergePartials(partial, &merged);
   }
-  counters->aggregate_partials_merged.fetch_add(workers,
-                                                std::memory_order_relaxed);
+  scan.counters()->aggregate_partials_merged.fetch_add(
+      partials.size(), std::memory_order_relaxed);
   return merged;
 }
 

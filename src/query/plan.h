@@ -16,7 +16,7 @@
 /// \brief Internal query-plan layer shared by the streaming Cursor and the
 /// materializing executor: predicate binding, accuracy resolution, and the
 /// batch-at-a-time row source (scan → σ at accuracy level) that both build
-/// on — sequential or fanned out over the table's partitions per the
+/// on — one morsel loop, fanned out over the database's worker pool per the
 /// session's ScanOptions.
 ///
 /// Nothing here is part of the stable public API; embedders should use
@@ -119,8 +119,8 @@ std::string RenderValue(const Schema& schema, int col, const Value& value,
 
 /// \brief Pull-based source of qualifying rows: the scan → σ stage of the
 /// operator pipeline, pulled a batch at a time. Implementations stream from
-/// the heap — sequentially or fanned out over the table's partitions by a
-/// prefetch worker pool — or from a multi-resolution index probe.
+/// the heap's morsel loop (see MakeRowSource) or from a multi-resolution
+/// index probe.
 class RowSource {
  public:
   virtual ~RowSource() = default;
@@ -144,17 +144,18 @@ class RowSource {
 inline constexpr size_t kStreamingScanBatchRows = 256;
 
 /// Below this many live rows, auto-resolved parallelism (ScanOptions 0)
-/// stays at 1: spawning scan workers costs more than scanning a
+/// stays at 1: dispatching scan workers costs more than scanning a
 /// few-batches table inline.
 inline constexpr uint64_t kParallelScanMinRows = 8 * kStreamingScanBatchRows;
 
-/// Resolved scan fan-out: how many workers MakeRowSource would use for
-/// `table` under the session's ScanOptions. 0 resolves to
+/// Resolved scan fan-out: how many claimers a heap scan of `table` wants
+/// under the session's ScanOptions. 0 resolves to
 /// DegradationOptions::worker_threads — but stays 1 on tables below
 /// kParallelScanMinRows, where worker dispatch would dominate. Explicit
 /// values are honored. No partition clamp: scans parallelize at morsel
 /// (page-range) granularity, so the fan-out may exceed the partition count;
-/// each scan path clamps only to its own morsel-plan size.
+/// the scan clamps it once to its morsel-plan size, and the pool caps it
+/// at its free workers plus the calling thread.
 size_t ResolveScanParallelism(Session* session, const Table& table);
 
 /// Chooses the access path (index probe when a usable degradable predicate
@@ -162,20 +163,19 @@ size_t ResolveScanParallelism(Session* session, const Table& table);
 /// the corresponding source. `query` must outlive the source. ReadOptions
 /// and ScanOptions are captured from the session at this point.
 ///
-/// `scan_batch_rows` sets the heap-scan batch size. The streaming default
-/// keeps memory bounded but releases the latch between batches (weak
-/// cursor isolation: a row relocated by a concurrent update may be missed
-/// or observed twice). With resolved parallelism 1 the scan walks the
-/// table's partitions in order, one partition latch at a time; with more,
-/// that many prefetch workers claim page-range morsels from a shared
-/// work-stealing scheduler (util/morsel.h) and drain them into a bounded
-/// batch queue (rows interleave across morsels in arrival order, still
-/// snapshot-per-batch). The fan-out is clamped to the morsel-plan size, so
-/// a one-morsel table skips the queue machinery entirely and stays on the
-/// sequential source. Materializing callers (Execute, DELETE, aggregates)
-/// pass SIZE_MAX: workers drain morsels a latched batch at a time and the
-/// per-morsel results concatenate in (partition, page) order, so rows come
-/// out in sequential-scan order at any parallelism.
+/// `scan_batch_rows` sets the heap-scan batch size. Every heap scan runs
+/// the same morsel loop: claimers take page-range morsels from a shared
+/// work-stealing scheduler (util/morsel.h) and fetch one latched batch at
+/// a time, so isolation is snapshot-per-batch on every path (a row
+/// relocated by a concurrent update may be missed or observed twice).
+/// Streaming cursors get a source whose consumer thread always scans
+/// inline, helped by whatever pool workers are free when it opens; helper
+/// batches arrive through a bounded queue, so with helpers rows interleave
+/// across morsels in arrival order, and without them (parallelism 1 or a
+/// saturated pool) the consumer scans alone. At parallelism 1 rows come
+/// out in (partition, page) order. Materializing callers (Execute, DELETE,
+/// GROUP BY) pass SIZE_MAX: per-morsel results concatenate in (partition,
+/// page) order, so rows come out in that order at any parallelism.
 Result<std::unique_ptr<RowSource>> MakeRowSource(
     Session* session, const BoundQuery& query,
     size_t scan_batch_rows = kStreamingScanBatchRows);
@@ -211,14 +211,13 @@ struct AggregatePartials {
 bool CanPushAggregate(Session* session, const SelectPlan& select);
 
 /// Aggregate pushdown: computes COUNT/SUM/AVG/MIN/MAX partials inside the
-/// scan workers — one partial per WORKER, each claiming page-range morsels
-/// from the shared work-stealing scheduler and folding them a latched
+/// heap scan's morsel loop — one partial per claimer, folded a latched
 /// batch at a time with the stable predicates pushed below row assembly —
-/// then merges the per-worker partials (merge is associative, so the claim
-/// order never matters). Aggregate queries stop shipping qualifying rows
-/// through a row source entirely; a query referencing no degradable column
-/// (COUNT(*) over stable predicates) also skips every state-store probe.
-/// Only valid when CanPushAggregate(session, select).
+/// then merges them (merge is associative, so the claim order never
+/// matters). Aggregate queries stop shipping qualifying rows through a row
+/// source entirely; a query referencing no degradable column (COUNT(*) over
+/// stable predicates) also skips every state-store probe. Only valid when
+/// CanPushAggregate(session, select).
 Result<AggregatePartials> ExecuteAggregatePushdown(Session* session,
                                                    const SelectPlan& select);
 

@@ -116,7 +116,8 @@ void WorkerPool::Wait(Ticket* ticket) {
 }
 
 Status WorkerPool::Run(size_t workers, size_t count,
-                       const std::function<Status(size_t)>& fn) {
+                       const std::function<Status(size_t)>& fn,
+                       bool priority) {
   workers = std::min(std::max<size_t>(workers, 1), count);
   if (workers <= 1) {
     for (size_t i = 0; i < count; ++i) IDB_RETURN_IF_ERROR(fn(i));
@@ -138,7 +139,7 @@ Status WorkerPool::Run(size_t workers, size_t count,
     }
   };
   Ticket ticket;
-  TryDispatch(workers - 1, [&](size_t) { drain(); }, &ticket);
+  TryDispatch(workers - 1, [&](size_t) { drain(); }, &ticket, priority);
   drain();
   Wait(&ticket);
   return error;

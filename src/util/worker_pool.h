@@ -15,19 +15,22 @@
 
 namespace instantdb {
 
-/// \brief Lazily-started shared worker pool: the threads scans, aggregate
-/// drains, degradation passes, checkpoints and audit sweeps borrow instead
-/// of each spawning (and joining) their own — thread create/join is tens of
-/// microseconds per worker, which used to be paid per query.
+/// \brief Lazily-started shared worker pool: the engine's only source of
+/// worker threads. Scans, aggregate drains, degradation passes,
+/// checkpoints, audit sweeps, WAL recovery and index rebuilds all borrow
+/// these threads instead of spawning (and joining) their own — thread
+/// create/join is tens of microseconds per worker, which used to be paid
+/// per query. The only other threads are the degrader's and the
+/// maintenance daemon's long-lived coordinators.
 ///
 /// The pool never over-commits: TryDispatch hands out at most as many tasks
 /// as there are workers NOT currently running one (a free-worker token
 /// count), so every accepted task is picked up promptly even when other
-/// tasks block indefinitely (a streaming scan's producers parked on a full
+/// tasks block indefinitely (a streaming scan's helpers parked on a full
 /// prefetch queue hold their tokens; the next dispatch simply sees fewer
-/// free workers and the caller spawns or inlines the shortfall). That
-/// no-queueing-behind-busy-work guarantee is what makes borrowing safe for
-/// both blocking fan-outs and long-lived producers without a deadlock story.
+/// free workers). Every borrower therefore runs its own share of the work
+/// on the calling thread and treats borrowed workers as helpers: a
+/// saturated pool slows it down but never stalls or deadlocks it.
 ///
 /// Threads start on first use and park on a condition variable between
 /// tasks; an idle pool costs nothing until then.
@@ -59,8 +62,8 @@ class WorkerPool {
 
   /// Borrows up to `want` currently-free pool workers and runs `fn(slot)`
   /// on each (slot in [0, returned)). Returns how many were borrowed —
-  /// possibly 0 when the pool is saturated; the caller runs (or spawns) the
-  /// shortfall itself. Never blocks.
+  /// possibly 0 when the pool is saturated; the caller runs the shortfall
+  /// itself. Never blocks.
   ///
   /// `priority` selects the token pool: normal dispatches (the default)
   /// never take the last `reserved()` free tokens, priority dispatches may
@@ -79,15 +82,16 @@ class WorkerPool {
   /// default-constructed or already-waited ticket returns immediately.
   void Wait(Ticket* ticket);
 
-  /// ParallelFor on the pool: runs `fn(0) .. fn(count - 1)` from an atomic
-  /// cursor with the CALLER always participating, helped by however many
-  /// pool workers are free right now (at most `workers - 1`). Progress is
-  /// therefore guaranteed even when the pool is saturated or `Run` is
-  /// called from a pool worker — it degrades to inline, never deadlocks.
-  /// Error semantics match util/parallel.h ParallelFor: the first non-OK
-  /// status is returned; the failing worker stops claiming, siblings drain.
+  /// Parallel for-loop on the pool: runs `fn(0) .. fn(count - 1)` from an
+  /// atomic cursor with the CALLER always participating, helped by however
+  /// many pool workers are free right now (at most `workers - 1`; priority
+  /// as in TryDispatch). Progress is therefore guaranteed even when the
+  /// pool is saturated or `Run` is called from a pool worker — it degrades
+  /// to inline, never deadlocks. Returns the first non-OK status; the
+  /// failing participant stops claiming, the others drain what they
+  /// already started.
   Status Run(size_t workers, size_t count,
-             const std::function<Status(size_t)>& fn);
+             const std::function<Status(size_t)>& fn, bool priority = false);
 
   /// Reserves `n` tokens (clamped to the pool size) for priority
   /// dispatches; normal TryDispatch sees a pool smaller by that many. 0

@@ -7,7 +7,7 @@
 #include "common/strings.h"
 #include "io/env.h"
 #include "util/crc32c.h"
-#include "util/parallel.h"
+#include "util/worker_pool.h"
 
 namespace instantdb {
 
@@ -349,12 +349,20 @@ Status WalManager::ReplayStream(
 }
 
 Status WalManager::RecoverCommitted(
-    const std::vector<Lsn>& from, bool stream_local_apply,
+    WorkerPool* pool, const std::vector<Lsn>& from, bool stream_local_apply,
     const std::function<Status(const WalRecord&)>& redo,
     uint64_t* max_txn_id) {
   const size_t n = streams_.size();
   if (from.size() != n) {
     return Status::InvalidArgument("recovery position size != stream count");
+  }
+
+  // Both passes fan out over the streams that have records past their
+  // replay position only: a fresh or fully checkpointed log replays inline
+  // without starting the pool.
+  size_t workers = 0;
+  for (size_t s = 0; s < n; ++s) {
+    if (streams_[s]->next_lsn() > from[s]) ++workers;
   }
 
   // Pass 1 (parallel): per stream, how many data records each transaction
@@ -368,7 +376,7 @@ Status WalManager::RecoverCommitted(
   std::vector<std::map<uint64_t, CommitMeta>> commits(n);
   std::vector<uint64_t> max_txn(n, 0);
   std::vector<uint64_t> max_seq(n, 0);
-  IDB_RETURN_IF_ERROR(ParallelFor(n, n, [&](size_t s) {
+  IDB_RETURN_IF_ERROR(pool->Run(workers, n, [&](size_t s) {
     return streams_[s]->Replay(from[s], [&](const WalRecord& record, Lsn) {
       // Track ids of torn transactions too: reusing one would let a new
       // generation's torn commit pass the record-count check with this
@@ -429,7 +437,7 @@ Status WalManager::RecoverCommitted(
     // Every table partition maps wholly into one stream, so any two
     // conflicting records share a stream and stream order already equals
     // commit order where it matters: streams replay concurrently.
-    return ParallelFor(n, n, [&](size_t s) {
+    return pool->Run(workers, n, [&](size_t s) {
       return streams_[s]->Replay(from[s], [&](const WalRecord& record, Lsn) {
         if (!IsDataRecord(record.type)) return Status::OK();
         if (committed.count(record.txn_id) == 0) return Status::OK();

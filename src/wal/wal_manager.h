@@ -58,6 +58,7 @@ namespace instantdb {
 /// replay-start LSNs; fuzzy checkpoints and segment retirement proceed
 /// stream-by-stream against it.
 class Env;
+class WorkerPool;
 
 class WalManager {
  public:
@@ -145,16 +146,18 @@ class WalManager {
                       const std::function<Status(const WalRecord&, Lsn)>& fn) const;
 
   /// Two-pass sharded recovery. Pass 1 scans every stream from its
-  /// checkpoint position (one thread per stream) and derives the committed
-  /// transaction set: a commit frame must be present and, when it carries
-  /// per-stream record counts, every counted record must have survived its
-  /// stream's torn-tail truncation — so a cross-stream commit that lost
+  /// checkpoint position (fanned out over `pool`: the caller plus up to one
+  /// free worker per further stream that has records to replay; a fresh
+  /// log replays inline) and derives the committed transaction set: a
+  /// commit frame must be present and, when it carries per-stream record
+  /// counts, every counted record must have survived its stream's
+  /// torn-tail truncation — so a cross-stream commit that lost
   /// records in one stream is voided atomically. Pass 2 redoes the data
   /// records of committed transactions: when `stream_local_apply` (every
   /// table partition maps wholly into one stream, so all conflicting
-  /// records share a stream) streams replay in parallel, one thread each;
-  /// otherwise records are merged and applied globally in commit-sequence
-  /// order. `redo` must be thread-safe in the parallel case.
+  /// records share a stream) streams replay in parallel on `pool` the same
+  /// way; otherwise records are merged and applied globally in
+  /// commit-sequence order. `redo` must be thread-safe in the parallel case.
   ///
   /// Recovery also advances the global commit sequence past everything
   /// scanned (a reopened log must never mint CSNs that collide with live
@@ -163,7 +166,8 @@ class WalManager {
   /// non-null) so the transaction manager can resume above it — a reused
   /// txn id could satisfy a torn transaction's record counts with a prior
   /// generation's records.
-  Status RecoverCommitted(const std::vector<Lsn>& from, bool stream_local_apply,
+  Status RecoverCommitted(WorkerPool* pool, const std::vector<Lsn>& from,
+                          bool stream_local_apply,
                           const std::function<Status(const WalRecord&)>& redo,
                           uint64_t* max_txn_id = nullptr);
 

@@ -370,5 +370,45 @@ TEST_F(MorselScanTest, ScanDuringDegradationStaysSnapshotSafe) {
   EXPECT_EQ(seen.size(), static_cast<size_t>(kRows));
 }
 
+TEST_F(MorselScanTest, SequentialCursorKeepsPartitionPageOrderUnderSkew) {
+  // WriteBatches are partition-affine and rotate over the partitions, so
+  // batch sizes 40, 40, 40, 2000 make the LAST partition the busiest: a
+  // lone claimer that stole from the busiest queue would jump there as
+  // soon as partition 0 ran dry.
+  BuildDb(4, 0);
+  const std::string pad(120, 'x');
+  int next = 0;
+  for (int rows : {40, 40, 40, 2000}) {
+    WriteBatch batch;
+    for (int i = 0; i < rows; ++i, ++next) {
+      batch.Insert("pings", {Value::String("u" + std::to_string(next) + pad),
+                             Value::String("11 Rue Lepic")});
+    }
+    ASSERT_TRUE(db_->Write(&batch).ok());
+  }
+  const auto plan = db_->GetTable("pings")->MorselPlan(1);
+  ASSERT_EQ(plan.size(), 4u);
+  ASSERT_GT(plan[3].size(), plan[1].size())
+      << "the skewed batch did not land in the last partition";
+
+  Session session(db_.get());
+  const std::string sql = "SELECT user, location FROM pings";
+  session.scan_options().parallelism = 1;
+  session.scan_options().morsel_pages = 1;
+  std::vector<std::vector<std::string>> streamed;
+  auto cursor = session.ExecuteCursor(sql);
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  CursorRow row;
+  while (true) {
+    auto more = (*cursor)->Next(&row);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    if (!*more) break;
+    streamed.push_back(row.display());
+  }
+  ASSERT_EQ(streamed.size(), 2120u);
+  // Exactly Session::Execute's (partition, page) order, not just its set.
+  EXPECT_EQ(streamed, MaterializedRows(&session, sql, 4));
+}
+
 }  // namespace
 }  // namespace instantdb

@@ -7,7 +7,10 @@
 // consumer are exactly the cross-thread paths it exercises.
 
 #include <algorithm>
+#include <condition_variable>
+#include <filesystem>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "query/cursor.h"
 #include "query/session.h"
 #include "util/file.h"
+#include "util/worker_pool.h"
 
 namespace instantdb {
 namespace {
@@ -279,6 +283,70 @@ TEST_F(ParallelScanTest, ExplicitParallelismClampsToThePartitionCount) {
   const auto narrow = DrainCursor(&session, "SELECT user FROM pings", 1);
   EXPECT_EQ(wide, narrow);
   EXPECT_EQ(wide.size(), 300u);
+}
+
+/// Threads of this process right now.
+size_t CountThreads() {
+  size_t threads = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++threads;
+  }
+  return threads;
+}
+
+TEST_F(ParallelScanTest, SaturatedPoolScansInlineWithoutSpawningThreads) {
+  constexpr int kRows = 900;
+  BuildDb(4, kRows);
+  Session session(db_.get());
+  const auto expected = DrainCursor(&session, "SELECT user FROM pings", 1);
+  ASSERT_EQ(expected.size(), static_cast<size_t>(kRows));
+
+  // Hold every pool token, the reserve included, with blocked tasks.
+  WorkerPool* pool = db_->worker_pool();
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  WorkerPool::Ticket ticket;
+  ASSERT_EQ(pool->TryDispatch(
+                pool->size(),
+                [&](size_t) {
+                  std::unique_lock<std::mutex> lock(mu);
+                  cv.wait(lock, [&] { return release; });
+                },
+                &ticket, /*priority=*/true),
+            pool->size());
+  ASSERT_EQ(pool->free_workers(), 0u);
+  const size_t threads = CountThreads();
+
+  // A parallelism-4 cursor finds no free worker: its consumer scans every
+  // morsel itself, and no thread appears while the cursor is open.
+  session.scan_options().parallelism = 4;
+  std::map<std::string, std::vector<std::string>> rows;
+  {
+    auto cursor = session.ExecuteCursor("SELECT user FROM pings");
+    ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+    EXPECT_EQ(CountThreads(), threads);
+    CursorRow row;
+    while (true) {
+      auto more = (*cursor)->Next(&row);
+      ASSERT_TRUE(more.ok()) << more.status().ToString();
+      if (!*more) break;
+      EXPECT_TRUE(rows.emplace(row.display()[0], row.display()).second)
+          << "duplicate row for " << row.display()[0];
+    }
+    EXPECT_EQ(CountThreads(), threads);
+  }
+  EXPECT_EQ(rows, expected);
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  pool->Wait(&ticket);
+  EXPECT_EQ(pool->free_workers(), pool->size());
 }
 
 }  // namespace

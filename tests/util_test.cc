@@ -5,7 +5,6 @@
 
 #include "common/random.h"
 #include "gtest/gtest.h"
-#include "util/arena.h"
 #include "util/bitmap.h"
 #include "util/chacha20.h"
 #include "util/coding.h"
@@ -245,34 +244,6 @@ TEST(ChaCha20Test, DifferentKeysDiffer) {
   ChaCha20::XorStream(k1, nonce, 0, d1.data(), d1.size());
   ChaCha20::XorStream(k2, nonce, 0, d2.data(), d2.size());
   EXPECT_NE(d1, d2);
-}
-
-// --- arena ------------------------------------------------------------------
-
-TEST(ArenaTest, AllocationsAreUsableAndAligned) {
-  Arena arena;
-  char* a = arena.Allocate(10);
-  std::memset(a, 0xAB, 10);
-  char* b = arena.Allocate(8000);  // larger than a block
-  std::memset(b, 0xCD, 8000);
-  char* c = arena.Allocate(1, 64);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(c) % 64, 0u);
-  EXPECT_EQ(static_cast<unsigned char>(a[9]), 0xABu);
-  EXPECT_GT(arena.MemoryUsage(), 8000u);
-}
-
-TEST(ArenaTest, ManySmallAllocations) {
-  Arena arena;
-  std::vector<char*> ptrs;
-  for (int i = 0; i < 10000; ++i) {
-    char* p = arena.Allocate(16);
-    std::memset(p, i & 0xFF, 16);
-    ptrs.push_back(p);
-  }
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_EQ(static_cast<unsigned char>(ptrs[i][0]),
-              static_cast<unsigned char>(i & 0xFF));
-  }
 }
 
 // --- histogram ---------------------------------------------------------------

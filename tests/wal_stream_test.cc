@@ -424,6 +424,7 @@ class WalTornTailTest : public ::testing::TestWithParam<WalPrivacyMode> {
 
   std::string dir_;
   std::unique_ptr<KeyManager> keys_;
+  WorkerPool pool_{2};  // RecoverCommitted fans streams out over it
 };
 
 TEST_P(WalTornTailTest, TornStreamVoidsCrossStreamCommitAtomically) {
@@ -460,7 +461,8 @@ TEST_P(WalTornTailTest, TornStreamVoidsCrossStreamCommitAtomically) {
   // txn 1's commit frame survived in s0, but its per-stream counts say one
   // record must live in s1 — gone, so the commit is void. txn 2 replays.
   std::vector<RowId> rows;
-  ASSERT_TRUE(wal.RecoverCommitted({0, 0}, /*stream_local_apply=*/false,
+  ASSERT_TRUE(wal.RecoverCommitted(&pool_, {0, 0},
+                                   /*stream_local_apply=*/false,
                                    [&](const WalRecord& record) {
                                      rows.push_back(record.row_id);
                                      return Status::OK();
@@ -478,7 +480,8 @@ TEST_P(WalTornTailTest, MergedReplayFollowsCommitOrder) {
   ASSERT_TRUE(Commit(&wal, 8, {MakeInsert(8, 3)}).ok());             // s1
   ASSERT_TRUE(Commit(&wal, 9, {MakeInsert(9, 4), MakeInsert(9, 5)}).ok());
   std::vector<uint64_t> txn_order;
-  ASSERT_TRUE(wal.RecoverCommitted({0, 0}, /*stream_local_apply=*/false,
+  ASSERT_TRUE(wal.RecoverCommitted(&pool_, {0, 0},
+                                   /*stream_local_apply=*/false,
                                    [&](const WalRecord& record) {
                                      if (txn_order.empty() ||
                                          txn_order.back() != record.txn_id) {
@@ -505,7 +508,8 @@ TEST_P(WalTornTailTest, CommitSequenceResumesAfterRecovery) {
   WalManager wal(dir_ + "/wal", MakeOptions(), keys_.get());
   ASSERT_TRUE(wal.Open().ok());
   uint64_t max_txn = 0;
-  ASSERT_TRUE(wal.RecoverCommitted({0, 0}, /*stream_local_apply=*/false,
+  ASSERT_TRUE(wal.RecoverCommitted(&pool_, {0, 0},
+                                   /*stream_local_apply=*/false,
                                    [](const WalRecord&) { return Status::OK(); },
                                    &max_txn)
                   .ok());
