@@ -135,12 +135,16 @@ Throughput RunOneConfig(uint32_t partitions) {
     for (uint32_t p = 0; p < table->num_partitions(); ++p) {
       threads.emplace_back([&, p] {
         PartitionCursor cursor = table->OpenPartitionCursor(p);
+        ScanWorkspace ws;
+        ScanDeltas deltas;
         std::vector<RowView> views;
         uint64_t rows = 0;
         bool done = false;
         while (!done) {
-          views.clear();
-          if (!cursor.NextBatch(256, &views, &done).ok()) break;
+          if (!cursor.NextBatch(256, ScanSpec{}, &ws, &views, &done, &deltas)
+                   .ok()) {
+            break;
+          }
           rows += views.size();
         }
         scanned += rows;

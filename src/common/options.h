@@ -141,8 +141,9 @@ struct ScanOptions {
   /// stores are probed only for the surviving rows (one sorted merge per
   /// store instead of one binary search per row), and ungrouped
   /// COUNT/SUM/AVG/MIN/MAX fold one partial per claimer inside the scan
-  /// loop. On by default; off restores full RowView assembly before σ —
-  /// the reference path the pushdown equivalence tests compare against.
+  /// loop. On by default; off assembles every row through the same batched
+  /// merge with no pre-filter and evaluates all of σ above assembly — the
+  /// reference path the pushdown equivalence tests compare against.
   bool pushdown = true;
   /// Absolute statement deadline on the database's clock (0 = none). Every
   /// scan path checks it at morsel-claim and batch granularity and returns

@@ -180,9 +180,10 @@ class Database {
     uint64_t prefetch_stalls = 0;
     /// Pushdown accounting (ScanOptions::pushdown). Per scanned row and
     /// degradable column the read path either issues a store probe or
-    /// provably skips it, so over the pushdown scan paths
-    /// store_probes_issued + store_probes_skipped ==
-    /// rows × degradable columns (asserted in tests).
+    /// provably skips it, so on every read path (heap scans and index
+    /// probes, pushdown on or off) store_probes_issued +
+    /// store_probes_skipped == rows × degradable columns (asserted in
+    /// tests).
     /// Rows rejected by the stable-column pre-filter before any store
     /// probe or RowView assembly:
     uint64_t rows_prefiltered = 0;

@@ -22,6 +22,21 @@
 
 namespace instantdb {
 
+/// Fully assembled row as seen by the executor: stable values plus each
+/// degradable attribute's *stored* phase and value (the physical ST_j
+/// membership, which is what the paper's query semantics partition on).
+struct RowView {
+  RowId row_id = kInvalidRowId;
+  Micros insert_time = 0;
+  /// Aligned with schema.columns(): stable columns hold their value;
+  /// degradable columns hold the stored (possibly degraded) value, or NULL
+  /// once removed.
+  std::vector<Value> values;
+  /// Aligned with schema.degradable_columns(): current phase per attribute
+  /// (lcp.num_phases() = removed).
+  std::vector<int> phases;
+};
+
 /// Batch predicate over decoded heap tuples, evaluated before any state
 /// store is touched. Implementations live in the query layer
 /// (query/predicate.h); the db layer only calls through this interface.
@@ -51,18 +66,20 @@ struct ScanSpec {
 
 /// Per-scan counter deltas, filled by the partition while it holds its
 /// latch (plain integers — the query layer folds them into the database's
-/// atomic counters outside the latch). The accounting invariant, asserted
-/// in tests: probes_issued + probes_skipped == rows_scanned × number of
-/// degradable columns — every (row, degradable column) pair is either
+/// atomic counters outside the latch). Every read path — heap cursor
+/// batches and by-id fetches, pushdown on or off — fills them through the
+/// one row assembler, so the accounting invariant, asserted in tests, holds
+/// on all of them: probes_issued + probes_skipped == rows_scanned × number
+/// of degradable columns — every (row, degradable column) pair is either
 /// probed or provably not needed.
 struct ScanDeltas {
-  uint64_t rows_scanned = 0;     ///< heap tuples decoded
+  uint64_t rows_scanned = 0;     ///< heap tuples decoded (live rows read)
   uint64_t rows_prefiltered = 0; ///< rejected by the stable filter pre-assembly
   uint64_t probes_issued = 0;    ///< (row, column) store resolutions performed
   uint64_t probes_skipped = 0;   ///< (row, column) resolutions avoided
 };
 
-/// Scratch a pushdown scan reuses across batches (decoded-tuple slots,
+/// Scratch a read path reuses across batches (decoded-tuple slots,
 /// selection vectors, probe arrays): owned by the consumer — one per scan
 /// worker — so a steady-state scan stops allocating. Contents are
 /// meaningless between calls.
@@ -76,6 +93,8 @@ struct ScanWorkspace {
   std::vector<RowId> ids;           ///< survivor row ids, ascending
   std::vector<const StoreEntry*> entries;  ///< per-survivor probe results
   std::vector<int> phases;                 ///< per-survivor resolved phases
+  std::vector<RowId> fetch_ids;  ///< one partition's share of a by-id fetch
+  std::vector<RowView> fetched;  ///< that partition's rows, before the merge
 };
 
 }  // namespace instantdb

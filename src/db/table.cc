@@ -222,35 +222,6 @@ Status Table::ScanRows(const std::function<bool(const RowView&)>& fn) const {
   return Status::OK();
 }
 
-Status Table::ScanBatch(TableScanPos* pos, size_t limit,
-                        std::vector<RowView>* out, bool* done) const {
-  out->clear();
-  *done = false;
-  while (pos->partition < partitions_.size()) {
-    if (out->size() >= limit) return Status::OK();  // more partitions remain
-    bool partition_done = false;
-    IDB_RETURN_IF_ERROR(partitions_[pos->partition]->ScanBatch(
-        &pos->rid, limit - out->size(), out, &partition_done));
-    if (!partition_done) return Status::OK();  // limit hit inside partition
-    ++pos->partition;
-    pos->rid = Rid{0, 0};
-  }
-  *done = true;
-  return Status::OK();
-}
-
-Status PartitionCursor::NextBatch(size_t limit, std::vector<RowView>* out,
-                                  bool* done) {
-  if (done_ || partition_ == nullptr) {
-    *done = true;
-    return Status::OK();
-  }
-  IDB_RETURN_IF_ERROR(
-      partition_->ScanBatch(&pos_, end_page_, limit, out, &done_));
-  *done = done_;
-  return Status::OK();
-}
-
 Status PartitionCursor::NextBatch(size_t limit, const ScanSpec& spec,
                                   ScanWorkspace* ws, std::vector<RowView>* out,
                                   bool* done, ScanDeltas* deltas) {
@@ -266,8 +237,44 @@ Status PartitionCursor::NextBatch(size_t limit, const ScanSpec& spec,
   return Status::OK();
 }
 
+Status Table::FetchRows(const RowId* ids, size_t n, const ScanSpec& spec,
+                        ScanWorkspace* ws, std::vector<RowView>* out,
+                        ScanDeltas* deltas) const {
+  if (partitions_.size() == 1) {
+    return partitions_[0]->FetchRows(ids, n, spec, ws, out, deltas);
+  }
+  // One fetch per partition the ids touch, each run in ascending order;
+  // the runs are concatenated into `out`'s recycled slots, then re-sorted.
+  size_t filled = 0;
+  for (uint32_t p = 0; p < partitions_.size(); ++p) {
+    ws->fetch_ids.clear();
+    for (size_t i = 0; i < n; ++i) {
+      if (PartitionOf(ids[i]) == p) ws->fetch_ids.push_back(ids[i]);
+    }
+    if (ws->fetch_ids.empty()) continue;
+    IDB_RETURN_IF_ERROR(partitions_[p]->FetchRows(
+        ws->fetch_ids.data(), ws->fetch_ids.size(), spec, ws, &ws->fetched,
+        deltas));
+    for (RowView& view : ws->fetched) {
+      if (filled == out->size()) out->emplace_back();
+      std::swap((*out)[filled++], view);
+    }
+  }
+  out->resize(filled);
+  std::sort(out->begin(), out->end(), [](const RowView& a, const RowView& b) {
+    return a.row_id < b.row_id;
+  });
+  return Status::OK();
+}
+
 Result<std::optional<RowView>> Table::GetRow(RowId row_id) const {
-  return Route(row_id)->GetRow(row_id);
+  ScanWorkspace ws;
+  std::vector<RowView> views;
+  ScanDeltas deltas;
+  IDB_RETURN_IF_ERROR(
+      Route(row_id)->FetchRows(&row_id, 1, ScanSpec{}, &ws, &views, &deltas));
+  if (views.empty()) return std::optional<RowView>{};
+  return std::optional<RowView>(std::move(views[0]));
 }
 
 uint64_t Table::live_rows() const {

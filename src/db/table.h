@@ -18,55 +18,38 @@ class WorkerPool;
 /// can make Open() attempt).
 inline constexpr uint32_t kMaxPartitions = 1024;
 
-/// Resume position of a table scan that spans partitions: the partition
-/// currently being walked plus the heap position inside it. Value-semantic
-/// so cursors can checkpoint it between batches.
-struct TableScanPos {
-  uint32_t partition = 0;
-  Rid rid{0, 0};
-};
-
-/// \brief Cursor over ONE partition's heap, from Table::OpenPartitionCursor.
+/// \brief Cursor over one partition's heap, or one morsel's page range of
+/// it, from Table::OpenPartitionCursor / Table::OpenMorselCursor.
 ///
-/// A consumer that wants to fan a table scan out itself (the
-/// exposure/attack-window audit benches) opens one cursor per partition and
-/// drains them on distinct threads — partitions own disjoint rows and
-/// latches, so the cursors never contend. The query layer's morsel loop
-/// opens the page-range form instead (OpenMorselCursor). Each NextBatch holds the
-/// partition's shared latch only while assembling that batch
-/// (snapshot-per-batch semantics, exactly like Table::ScanBatch).
-/// Value-semantic and independent of sibling cursors; the Table must
-/// outlive it.
+/// The query layer's morsel loop and the deletion-assurance audit open the
+/// page-range form (OpenMorselCursor); benches that shard a scan by hand
+/// open one whole-partition cursor per thread — partitions own disjoint
+/// rows and latches, so such cursors never contend. Each NextBatch holds
+/// the partition's shared latch only while decoding and assembling that
+/// batch (snapshot-per-batch semantics). Value-semantic and independent of
+/// sibling cursors; the Table must outlive it.
 class PartitionCursor {
  public:
   PartitionCursor() = default;
 
-  /// Assembles up to `limit` live rows into `*out` (appended), advancing
-  /// the cursor. `*done` is set once the partition is exhausted; subsequent
-  /// calls return no rows with `*done` true.
-  Status NextBatch(size_t limit, std::vector<RowView>* out, bool* done);
-
-  /// Pushdown form (TablePartition::ScanBatchFiltered): stable predicates
+  /// One batch of TablePartition::ScanBatchFiltered: stable predicates
   /// run on the decoded tuples and state stores are probed only for the
-  /// survivors. REPLACES `*out`'s contents; `limit` bounds tuples decoded,
-  /// so a selective batch comes out short. `ws` and `deltas` are the
-  /// caller's per-worker scratch and counter accumulator.
+  /// survivors (`ScanSpec{}` assembles every row). REPLACES `*out`'s
+  /// contents; `limit` bounds tuples decoded, so a selective batch comes
+  /// out short. `*done` is set once the range is exhausted; later calls
+  /// return no rows with `*done` true. `ws` and `deltas` are the caller's
+  /// per-worker scratch and counter accumulator.
   Status NextBatch(size_t limit, const ScanSpec& spec, ScanWorkspace* ws,
                    std::vector<RowView>* out, bool* done, ScanDeltas* deltas);
 
-  uint32_t partition_index() const { return index_; }
-
  private:
   friend class Table;
-  PartitionCursor(const TablePartition* partition, uint32_t index,
-                  PageId begin_page = 0, PageId end_page = kInvalidPageId)
-      : partition_(partition),
-        index_(index),
-        pos_{begin_page, 0},
-        end_page_(end_page) {}
+  explicit PartitionCursor(const TablePartition* partition,
+                           PageId begin_page = 0,
+                           PageId end_page = kInvalidPageId)
+      : partition_(partition), pos_{begin_page, 0}, end_page_(end_page) {}
 
   const TablePartition* partition_ = nullptr;
-  uint32_t index_ = 0;
   Rid pos_{0, 0};
   /// Exclusive page bound (kInvalidPageId = whole partition): a morsel
   /// cursor reports done at its range's end, not the heap's.
@@ -161,27 +144,14 @@ class Table {
   /// partitions, so no row is ever torn).
   Status ScanRows(const std::function<bool(const RowView&)>& fn) const;
 
-  /// Cursor support: assembles up to `limit` live rows starting at `*pos`
-  /// (default-constructed to start), advancing `*pos` to the resume
-  /// position — which may cross into the next partition — and setting
-  /// `*done` once every partition is exhausted. Each batch holds one
-  /// partition latch at a time, so a slow consumer never blocks writers or
-  /// the degrader; isolation is weak across batches: rows changed between
-  /// two batches may or may not be observed, and a row physically relocated
-  /// by a concurrent update may be missed or observed twice. Pass SIZE_MAX
-  /// to scan everything in one call (snapshot-per-partition semantics).
-  Status ScanBatch(TableScanPos* pos, size_t limit, std::vector<RowView>* out,
-                   bool* done) const;
-
   /// Opens a cursor over partition `i` only, so parallel consumers can
   /// shard a table scan themselves (one cursor per partition, one thread
-  /// per cursor). The streaming read path's fan-out workers are built on
-  /// this; it is also the API the degradation-audit benches use to sweep a
+  /// per cursor) — the API the degradation-audit benches use to sweep a
   /// table at device speed. An out-of-range index yields an empty cursor
   /// (NextBatch reports done immediately) rather than undefined behavior.
   PartitionCursor OpenPartitionCursor(uint32_t i) const {
     if (i >= partitions_.size()) return PartitionCursor();
-    return PartitionCursor(partitions_[i].get(), i);
+    return PartitionCursor(partitions_[i].get());
   }
 
   /// Morsel-grained sharding (util/morsel.h): per-partition page-range
@@ -204,10 +174,20 @@ class Table {
   PartitionCursor OpenMorselCursor(const Morsel& morsel) const {
     if (morsel.partition >= partitions_.size()) return PartitionCursor();
     return PartitionCursor(partitions_[morsel.partition].get(),
-                           morsel.partition, morsel.begin_page,
-                           morsel.end_page);
+                           morsel.begin_page, morsel.end_page);
   }
 
+  /// By-id batch fetch (index probes): `ids[0..n)` ascending, routed to
+  /// their partitions, each partition fetched under one shared-latch
+  /// acquisition (TablePartition::FetchRows). Rows come out in ascending
+  /// row-id order; ids no longer live are skipped. Replace semantics,
+  /// scratch and accounting as PartitionCursor::NextBatch; consistency is
+  /// snapshot-per-partition.
+  Status FetchRows(const RowId* ids, size_t n, const ScanSpec& spec,
+                   ScanWorkspace* ws, std::vector<RowView>* out,
+                   ScanDeltas* deltas) const;
+
+  /// Point read: a one-id FetchRows. nullopt when the row is not live.
   Result<std::optional<RowView>> GetRow(RowId row_id) const;
 
   uint64_t live_rows() const;

@@ -422,22 +422,26 @@ Status TablePartition::ApplyUpdateStable(RowId row_id,
 
 Status TablePartition::ScanRows(const std::function<bool(const RowView&)>& fn,
                                 bool* stopped) const {
+  constexpr size_t kChunkRows = 1024;
   std::shared_lock<std::shared_mutex> latch(latch_);
   *stopped = false;
-  Status decode_status;
-  IDB_RETURN_IF_ERROR(heap_->Scan([&](Rid, Slice record) {
-    HeapTuple tuple;
-    decode_status = DecodeHeapTuple(schema(), runtime_.layout, record, &tuple);
-    if (!decode_status.ok()) return false;
-    RowView view;
-    if (!AssembleRow(tuple, &view)) return true;  // skip unreadable row
-    if (!fn(view)) {
-      *stopped = true;
-      return false;
+  ScanWorkspace ws;
+  std::vector<RowView> views;
+  ScanDeltas deltas;  // not a query scan: the counters stay untouched
+  Rid pos{0, 0};
+  bool done = false;
+  while (!done) {
+    IDB_RETURN_IF_ERROR(
+        DecodeRangeLocked(&pos, kInvalidPageId, kChunkRows, &ws, &done));
+    AssembleSurvivorsLocked(ScanSpec{}, &ws, &views, &deltas);
+    for (const RowView& view : views) {
+      if (!fn(view)) {
+        *stopped = true;
+        return Status::OK();
+      }
     }
-    return true;
-  }));
-  return decode_status;
+  }
+  return Status::OK();
 }
 
 std::vector<Morsel> TablePartition::MorselPlan(uint32_t pages_per_morsel) const {
@@ -458,39 +462,9 @@ std::vector<Morsel> TablePartition::MorselPlan(uint32_t pages_per_morsel) const 
   return plan;
 }
 
-Status TablePartition::ScanBatch(Rid* pos, size_t limit,
-                                 std::vector<RowView>* out, bool* done) const {
-  return ScanBatch(pos, kInvalidPageId, limit, out, done);
-}
-
-Status TablePartition::ScanBatch(Rid* pos, PageId end_page, size_t limit,
-                                 std::vector<RowView>* out, bool* done) const {
-  std::shared_lock<std::shared_mutex> latch(latch_);
-  *done = true;
-  const size_t start_size = out->size();
-  Status decode_status;
-  IDB_RETURN_IF_ERROR(heap_->ScanRange(*pos, end_page, [&](Rid rid, Slice record) {
-    if (out->size() - start_size >= limit) {
-      *pos = rid;  // resume here: this record has not been consumed
-      *done = false;
-      return false;
-    }
-    HeapTuple tuple;
-    decode_status = DecodeHeapTuple(schema(), runtime_.layout, record, &tuple);
-    if (!decode_status.ok()) return false;
-    RowView view;
-    if (AssembleRow(tuple, &view)) out->push_back(std::move(view));
-    return true;
-  }));
-  return decode_status;
-}
-
-Status TablePartition::ScanBatchFiltered(Rid* pos, PageId end_page,
-                                         size_t limit, const ScanSpec& spec,
-                                         ScanWorkspace* ws,
-                                         std::vector<RowView>* out, bool* done,
-                                         ScanDeltas* deltas) const {
-  std::shared_lock<std::shared_mutex> latch(latch_);
+Status TablePartition::DecodeRangeLocked(Rid* pos, PageId end_page,
+                                         size_t limit, ScanWorkspace* ws,
+                                         bool* done) const {
   *done = true;
   ws->count = 0;
   Status decode_status;
@@ -507,7 +481,35 @@ Status TablePartition::ScanBatchFiltered(Rid* pos, PageId end_page,
     ++ws->count;
     return true;
   }));
-  IDB_RETURN_IF_ERROR(decode_status);
+  return decode_status;
+}
+
+Status TablePartition::ScanBatchFiltered(Rid* pos, PageId end_page,
+                                         size_t limit, const ScanSpec& spec,
+                                         ScanWorkspace* ws,
+                                         std::vector<RowView>* out, bool* done,
+                                         ScanDeltas* deltas) const {
+  std::shared_lock<std::shared_mutex> latch(latch_);
+  IDB_RETURN_IF_ERROR(DecodeRangeLocked(pos, end_page, limit, ws, done));
+  AssembleSurvivorsLocked(spec, ws, out, deltas);
+  return Status::OK();
+}
+
+Status TablePartition::FetchRows(const RowId* ids, size_t n,
+                                 const ScanSpec& spec, ScanWorkspace* ws,
+                                 std::vector<RowView>* out,
+                                 ScanDeltas* deltas) const {
+  std::shared_lock<std::shared_mutex> latch(latch_);
+  ws->count = 0;
+  for (size_t i = 0; i < n; ++i) {
+    auto it = row_map_.find(ids[i]);
+    if (it == row_map_.end()) continue;  // deleted or expired since listed
+    IDB_ASSIGN_OR_RETURN(std::string record, heap_->Get(it->second));
+    if (ws->count == ws->tuples.size()) ws->tuples.emplace_back();
+    IDB_RETURN_IF_ERROR(DecodeHeapTuple(schema(), runtime_.layout, record,
+                                        &ws->tuples[ws->count]));
+    ++ws->count;
+  }
   AssembleSurvivorsLocked(spec, ws, out, deltas);
   return Status::OK();
 }
@@ -609,118 +611,6 @@ void TablePartition::AssembleSurvivorsLocked(const ScanSpec& spec,
       }
     }
   }
-}
-
-Status TablePartition::ProbeMany(const std::vector<RowId>& row_ids,
-                                 std::vector<int>* phases,
-                                 std::vector<Value>* values) const {
-  std::shared_lock<std::shared_mutex> latch(latch_);
-  const auto& degradable_cols = schema().degradable_columns();
-  const size_t dcols = degradable_cols.size();
-  const size_t n = row_ids.size();
-  phases->assign(n * dcols, 0);
-  values->assign(n * dcols, Value::Null());
-  if (n == 0 || dcols == 0) return Status::OK();
-
-  if (runtime_.layout == DegradableLayout::kInPlace) {
-    for (size_t i = 0; i < n; ++i) {
-      auto it = row_map_.find(row_ids[i]);
-      HeapTuple tuple;
-      bool live = false;
-      if (it != row_map_.end()) {
-        IDB_ASSIGN_OR_RETURN(std::string record, heap_->Get(it->second));
-        IDB_RETURN_IF_ERROR(
-            DecodeHeapTuple(schema(), runtime_.layout, record, &tuple));
-        live = true;
-      }
-      for (size_t d = 0; d < dcols; ++d) {
-        const int removed =
-            schema().column(degradable_cols[d]).lcp.num_phases();
-        if (!live) {
-          (*phases)[i * dcols + d] = removed;
-          continue;
-        }
-        (*phases)[i * dcols + d] = tuple.degradable[d].phase;
-        if (tuple.degradable[d].phase < removed) {
-          (*values)[i * dcols + d] = tuple.degradable[d].value;
-        }
-      }
-    }
-    return Status::OK();
-  }
-
-  std::vector<const StoreEntry*> entries(n, nullptr);
-  std::vector<int> resolved(n, 0);
-  for (size_t d = 0; d < dcols; ++d) {
-    const int removed = schema().column(degradable_cols[d]).lcp.num_phases();
-    entries.assign(n, nullptr);
-    resolved.assign(n, removed);
-    size_t found = 0;
-    for (size_t p = 0; p < stores_[d].size() && found < n; ++p) {
-      const size_t hits =
-          stores_[d][p]->FindMany(row_ids.data(), n, entries.data());
-      if (hits == 0) continue;
-      found += hits;
-      for (size_t i = 0; i < n; ++i) {
-        if (resolved[i] == removed && entries[i] != nullptr) {
-          resolved[i] = static_cast<int>(p);
-        }
-      }
-    }
-    for (size_t i = 0; i < n; ++i) {
-      (*phases)[i * dcols + d] = resolved[i];
-      if (entries[i] != nullptr) {
-        (*values)[i * dcols + d] = entries[i]->value;
-      }
-    }
-  }
-  return Status::OK();
-}
-
-bool TablePartition::AssembleRow(const HeapTuple& tuple, RowView* view) const {
-  view->row_id = tuple.row_id;
-  view->insert_time = tuple.insert_time;
-  view->values.assign(schema().num_columns(), Value::Null());
-  for (size_t i = 0; i < schema().stable_columns().size(); ++i) {
-    view->values[schema().stable_columns()[i]] = tuple.stable[i];
-  }
-  const auto& degradable_cols = schema().degradable_columns();
-  view->phases.assign(degradable_cols.size(), 0);
-  for (size_t d = 0; d < degradable_cols.size(); ++d) {
-    const ColumnDef& col = schema().column(degradable_cols[d]);
-    if (runtime_.layout == DegradableLayout::kStateStores) {
-      int phase = col.lcp.num_phases();  // removed unless found
-      for (size_t p = 0; p < stores_[d].size(); ++p) {
-        const StoreEntry* entry = stores_[d][p]->Find(tuple.row_id);
-        if (entry != nullptr) {
-          phase = static_cast<int>(p);
-          view->values[degradable_cols[d]] = entry->value;
-          break;
-        }
-      }
-      view->phases[d] = phase;
-    } else {
-      const InlineDegradable& inline_value = tuple.degradable[d];
-      view->phases[d] = inline_value.phase;
-      if (inline_value.phase < col.lcp.num_phases()) {
-        view->values[degradable_cols[d]] = inline_value.value;
-      }
-    }
-  }
-  return true;
-}
-
-Result<std::optional<RowView>> TablePartition::GetRow(RowId row_id) const {
-  std::shared_lock<std::shared_mutex> latch(latch_);
-  auto it = row_map_.find(row_id);
-  if (it == row_map_.end()) return std::optional<RowView>{};
-  IDB_ASSIGN_OR_RETURN(std::string record, heap_->Get(it->second));
-  HeapTuple tuple;
-  IDB_RETURN_IF_ERROR(
-      DecodeHeapTuple(schema(), runtime_.layout, record, &tuple));
-  RowView view;
-  AssembleRow(tuple, &view);
-  return std::optional<RowView>(std::move(view));
 }
 
 bool TablePartition::Contains(RowId row_id) const {

@@ -5,7 +5,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -42,21 +41,6 @@ struct TableRuntime {
   Clock* clock = nullptr;
   /// All table storage I/O routes through this seam; nullptr = Env::Default().
   Env* env = nullptr;
-};
-
-/// Fully assembled row as seen by the executor: stable values plus each
-/// degradable attribute's *stored* phase and value (the physical ST_j
-/// membership, which is what the paper's query semantics partition on).
-struct RowView {
-  RowId row_id = kInvalidRowId;
-  Micros insert_time = 0;
-  /// Aligned with schema.columns(): stable columns hold their value;
-  /// degradable columns hold the stored (possibly degraded) value, or NULL
-  /// once removed.
-  std::vector<Value> values;
-  /// Aligned with schema.degradable_columns(): current phase per attribute
-  /// (lcp.num_phases() = removed).
-  std::vector<int> phases;
 };
 
 /// \brief The physical state of one hash-partition of a table: slotted heap
@@ -143,9 +127,11 @@ class TablePartition {
 
   // --- read path -------------------------------------------------------------
 
-  /// Snapshot scan of this partition under its shared latch. Stops early
-  /// when `fn` returns false (reported via the return flag of ScanRows'
-  /// caller; see Table::ScanRows).
+  /// Snapshot scan of this partition under ONE shared-latch acquisition:
+  /// decodes the heap a chunk at a time, assembles each chunk through the
+  /// same survivor pass as the cursors (AssembleSurvivorsLocked, no filter)
+  /// and calls `fn` per row. Stops early when `fn` returns false (reported
+  /// via `*stopped`; see Table::ScanRows).
   Status ScanRows(const std::function<bool(const RowView&)>& fn,
                   bool* stopped) const;
 
@@ -154,53 +140,38 @@ class TablePartition {
   /// morsel scheduler hands to scan/degrade/audit workers. The last morsel
   /// is open-ended (end_page == kInvalidPageId) so rows appended after
   /// planning are still observed; an empty partition yields one open-ended
-  /// morsel for the same reason. Each morsel carries its own resume
-  /// position through the range-bounded ScanBatch/ScanBatchFiltered
-  /// overloads below.
+  /// morsel for the same reason. Each morsel cursor carries its own resume
+  /// position through ScanBatchFiltered below.
   std::vector<Morsel> MorselPlan(uint32_t pages_per_morsel) const;
 
-  /// Cursor support: assembles up to `limit` live rows starting at heap
-  /// position `*pos` (`Rid{0, 0}` to start) under the shared latch,
-  /// advancing `*pos` to the resume position and setting `*done` once this
-  /// partition's heap is exhausted.
-  Status ScanBatch(Rid* pos, size_t limit, std::vector<RowView>* out,
-                   bool* done) const;
-
-  /// Range-bounded ScanBatch over one morsel's pages: identical semantics,
-  /// but `*done` reports exhaustion of [*pos, end_page) instead of the
-  /// whole heap (end_page == kInvalidPageId restores the unbounded form).
-  Status ScanBatch(Rid* pos, PageId end_page, size_t limit,
-                   std::vector<RowView>* out, bool* done) const;
-
-  /// Pushdown form of the range-bounded ScanBatch: decodes up to `limit`
+  /// One cursor batch (PartitionCursor::NextBatch): decodes up to `limit`
   /// heap tuples from `*pos` (stopping at `end_page`, exclusive;
-  /// kInvalidPageId = the heap's end), runs `spec.filter` batch-at-a-time on the decoded stable
-  /// values, and only then resolves the degradable part — for the SURVIVORS
-  /// only, with one sorted merge per state store (StateStore::FindMany)
-  /// instead of one binary search per row. Everything happens under a
-  /// single shared-latch acquisition, so the batch has exactly ScanBatch's
-  /// snapshot-per-batch semantics. REPLACES `*out`'s contents (it does not
-  /// append): the caller keeps passing the same vector and the RowView
-  /// slots recycle their storage. `limit` bounds tuples DECODED, not rows
-  /// emitted — a selective batch comes out short rather than holding the
-  /// latch until it fills. `ws` is per-consumer scratch; `deltas`
-  /// accumulates the pushdown accounting (see ScanDeltas).
+  /// kInvalidPageId = the heap's end), runs `spec.filter` batch-at-a-time
+  /// on the decoded stable values, and only then resolves the degradable
+  /// part — for the SURVIVORS only, with one sorted merge per state store
+  /// (StateStore::FindMany). Everything happens under a single shared-latch
+  /// acquisition (snapshot-per-batch semantics). REPLACES `*out`'s contents
+  /// (it does not append): the caller keeps passing the same vector and the
+  /// RowView slots recycle their storage. `limit` bounds tuples DECODED,
+  /// not rows emitted — a selective batch comes out short rather than
+  /// holding the latch until it fills. Advances `*pos` to the resume
+  /// position and sets `*done` once [*pos, end_page) is exhausted. `ws` is
+  /// per-consumer scratch; `deltas` accumulates the accounting (see
+  /// ScanDeltas).
   Status ScanBatchFiltered(Rid* pos, PageId end_page, size_t limit,
                            const ScanSpec& spec, ScanWorkspace* ws,
                            std::vector<RowView>* out, bool* done,
                            ScanDeltas* deltas) const;
 
-  /// Batched store probe: resolves the stored (phase, value) of every id in
-  /// `row_ids` (must be ascending) for every degradable column, row-major —
-  /// phases/values[i * degradable_cols + d]. A removed value reports phase
-  /// == lcp.num_phases() with a NULL value; an id not in this partition
-  /// reports every column removed. One shared-latch acquisition, one
-  /// FindMany merge per (column, phase) store. Exposed for tests (merge
-  /// equivalence vs Find) and consumers that need levels without full rows.
-  Status ProbeMany(const std::vector<RowId>& row_ids, std::vector<int>* phases,
-                   std::vector<Value>* values) const;
-
-  Result<std::optional<RowView>> GetRow(RowId row_id) const;
+  /// By-id form of ScanBatchFiltered, for index probes and point reads:
+  /// under one shared-latch acquisition, looks each of `ids[0..n)`
+  /// (ascending, all owned by this partition) up in the row map, decodes
+  /// its heap tuple, and assembles the survivors through the same pass.
+  /// Ids no longer live are skipped. Rows come out in `ids` order; same
+  /// replace semantics, scratch and accounting as ScanBatchFiltered.
+  Status FetchRows(const RowId* ids, size_t n, const ScanSpec& spec,
+                   ScanWorkspace* ws, std::vector<RowView>* out,
+                   ScanDeltas* deltas) const;
 
   /// True if the row id currently lives in this partition.
   bool Contains(RowId row_id) const;
@@ -316,12 +287,16 @@ class TablePartition {
   /// Caller holds the exclusive latch.
   Status MaybeExpireTupleLocked(RowId row_id);
 
-  /// Builds a RowView from a decoded heap tuple (caller holds the latch).
-  bool AssembleRow(const HeapTuple& tuple, RowView* view) const;
+  /// Decodes up to `limit` heap tuples of [*pos, end_page) into
+  /// ws->tuples[0..ws->count), advancing `*pos` and setting `*done` as
+  /// ScanBatchFiltered documents. Caller holds the latch.
+  Status DecodeRangeLocked(Rid* pos, PageId end_page, size_t limit,
+                           ScanWorkspace* ws, bool* done) const;
 
-  /// Filters ws->tuples[0..count), probes stores for the survivors
-  /// (FindMany merges), and fills `*out` (replace semantics). Caller holds
-  /// the shared latch.
+  /// The one row assembler of every read path: filters
+  /// ws->tuples[0..count), probes stores for the survivors (FindMany
+  /// merges), and fills `*out` (replace semantics). Caller holds the shared
+  /// latch.
   void AssembleSurvivorsLocked(const ScanSpec& spec, ScanWorkspace* ws,
                                std::vector<RowView>* out,
                                ScanDeltas* deltas) const;

@@ -75,14 +75,18 @@ AuditReport DeletionAuditor::Run(const std::vector<Table*>& tables, Micros now,
         std::max<size_t>(1, std::min<size_t>(pool_->size(), sched.total()));
     auto sweep = [&](size_t w) -> Status {
       Morsel morsel;
+      ScanWorkspace ws;
       std::vector<RowView> batch;
+      // Full assembly, no filter; the deltas are dropped, never folded into
+      // the query scan counters.
+      ScanDeltas deltas;
       while (sched.Claim(w, &morsel)) {
         PartitionFindings acc;
         PartitionCursor cursor = table->OpenMorselCursor(morsel);
         bool done = false;
         while (!done) {
-          batch.clear();
-          IDB_RETURN_IF_ERROR(cursor.NextBatch(1024, &batch, &done));
+          IDB_RETURN_IF_ERROR(cursor.NextBatch(1024, ScanSpec{}, &ws, &batch,
+                                               &done, &deltas));
           for (const RowView& row : batch) {
             ++acc.rows;
             size_t removed = 0;

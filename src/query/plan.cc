@@ -58,6 +58,19 @@ void FoldDeltas(Database::ScanCounters* counters, const ScanDeltas& deltas) {
                                            std::memory_order_relaxed);
 }
 
+/// The ScanSpec every read path assembles with. Pushdown puts the stable
+/// conjuncts below assembly and skips the store probes when no degradable
+/// column is referenced; without it, ScanSpec{} assembles every row in full
+/// and σ runs whole above — the reference the pushdown tests compare with.
+ScanSpec MakeScanSpec(const BoundQuery& query,
+                      const StablePredicateFilter& filter, bool pushdown) {
+  ScanSpec spec;
+  if (!pushdown) return spec;
+  spec.filter = filter.empty() ? nullptr : &filter;
+  spec.need_degradable = !query.referenced_degradable.empty();
+  return spec;
+}
+
 /// Finds the level of a literal value in a hierarchy (tree labels can sit at
 /// any level; interval bucket bounds at several — prefer the leaf).
 Result<int> LiteralLevel(const DomainHierarchy& hierarchy, const Value& value) {
@@ -261,6 +274,77 @@ bool EvalDegradablePredicate(const DomainHierarchy& hierarchy,
   return false;
 }
 
+/// Applies computability + f_k + σ_P to one stored row. Returns true and
+/// fills `out` when the row qualifies under the bound accuracy levels.
+/// `stable_prefiltered` tells it the read already evaluated every
+/// stable-column conjunct below row assembly (ScanSpec pushdown), so only
+/// the degradable terms are checked here.
+bool EvaluateRow(const BoundQuery& query, const ReadOptions& read_options,
+                 const RowView& view, EvaluatedRow* out,
+                 bool stable_prefiltered) {
+  const Schema& schema = query.table->schema();
+  out->row_id = view.row_id;
+  out->values = view.values;
+  out->degradable_level.clear();
+
+  // Computability (σ over ∪_{j≤k} ST_j) and f_k generalization.
+  for (int col : query.referenced_degradable) {
+    const ColumnDef& column = schema.column(col);
+    const int ordinal = schema.DegradableOrdinal(col);
+    const int phase = view.phases[ordinal];
+    const int k = query.accuracy.at(col);
+    if (phase >= column.lcp.num_phases()) {
+      return false;  // value removed (⊥): never computable
+    }
+    const int stored_level = column.lcp.phase(phase).level;
+    if (stored_level > k && !read_options.include_coarser) {
+      return false;  // coarser than demanded: not in any ST_{j<=k}
+    }
+    const int target_level = std::max(stored_level, k);
+    Value vk = view.values[col];
+    if (stored_level < target_level) {
+      auto generalized =
+          column.hierarchy->Generalize(vk, stored_level, target_level);
+      if (!generalized.ok()) return false;
+      vk = *generalized;
+    }
+    out->values[col] = vk;
+    out->degradable_level.Set(col, target_level);
+  }
+
+  // σ_P over the generalized image.
+  for (const BoundPredicate& pred : query.predicates) {
+    const ColumnDef& column = schema.column(pred.column);
+    if (pred.degradable) {
+      const int level = out->degradable_level.Get(pred.column);
+      if (!EvalDegradablePredicate(*column.hierarchy, pred,
+                                   out->values[pred.column], level)) {
+        return false;
+      }
+    } else {
+      // Stable terms already ran below row assembly when the read pushed
+      // them down; only the pushdown-off reference path checks them here.
+      if (stable_prefiltered) continue;
+      if (!EvalStablePredicate(pred, out->values[pred.column])) return false;
+    }
+  }
+  return true;
+}
+
+/// Whole-batch σ: evaluates every view, appending the qualifying rows to
+/// `out` (recycled slots, see EvaluatedBatch) — one call per batch on
+/// every read path.
+void EvaluateViews(const BoundQuery& query, const ReadOptions& read_options,
+                   const std::vector<RowView>& views, EvaluatedBatch* out,
+                   bool stable_prefiltered) {
+  for (const RowView& view : views) {
+    EvaluatedRow* slot = out->Add();
+    if (!EvaluateRow(query, read_options, view, slot, stable_prefiltered)) {
+      out->DropLast();
+    }
+  }
+}
+
 /// The morsel plan a scan of `parallelism` claimers drains. A single
 /// claimer gets every partition's morsels flattened into one queue: the
 /// scheduler's steal-from-busiest would otherwise jump to the largest
@@ -322,10 +406,8 @@ class MorselScan {
                MorselStatsSink{&counters_->morsels_claimed,
                                &counters_->morsels_stolen,
                                &counters_->steal_failures}),
-        claimers_(std::max<size_t>(1, std::min(parallelism_, sched_.total()))) {
-    spec_.filter = filter_.empty() ? nullptr : &filter_;
-    spec_.need_degradable = !query.referenced_degradable.empty();
-  }
+        claimers_(std::max<size_t>(1, std::min(parallelism_, sched_.total()))),
+        spec_(MakeScanSpec(query, filter_, pushdown_)) {}
 
   /// Claimers the scan wants: the resolved parallelism clamped to the
   /// morsel-plan size. How many actually run is capped by the pool's free
@@ -349,15 +431,8 @@ class MorselScan {
     IDB_RETURN_IF_ERROR(budget_.Check());
     bool done = false;
     ScanDeltas deltas;
-    if (pushdown_) {
-      IDB_RETURN_IF_ERROR(c->cursor.NextBatch(batch_rows_, spec_, &c->ws,
-                                              &c->views, &done, &deltas));
-    } else {
-      // Reference path: full RowView assembly, every conjunct after it.
-      c->views.clear();
-      IDB_RETURN_IF_ERROR(c->cursor.NextBatch(batch_rows_, &c->views, &done));
-      deltas.rows_scanned = c->views.size();
-    }
+    IDB_RETURN_IF_ERROR(c->cursor.NextBatch(batch_rows_, spec_, &c->ws,
+                                            &c->views, &done, &deltas));
     c->draining = !done;
     if (deltas.rows_scanned > 0) {
       counters_->batches.fetch_add(1, std::memory_order_relaxed);
@@ -390,10 +465,10 @@ class MorselScan {
   const size_t batch_rows_;
   const bool pushdown_;
   const StablePredicateFilter filter_;
-  ScanSpec spec_;
   const size_t parallelism_;
   MorselScheduler sched_;
   const size_t claimers_;
+  const ScanSpec spec_;
 };
 
 /// Appends `from`'s rows to `to`, leaving `from` empty: a swap when `to`
@@ -573,7 +648,10 @@ class MaterializedScanSource : public RowSource {
 };
 
 /// Probes the multi-resolution index once (row ids only — cheap), then
-/// fetches and evaluates rows batch-at-a-time.
+/// feeds the sorted ids, a slice of at most `batch_rows` at a time, to the
+/// same assemble → fold → σ stage as the heap scan: Table::FetchRows
+/// assembles each slice under one latch per partition with this query's
+/// ScanSpec. Rows come out in ascending row-id order.
 class IndexScanSource : public RowSource {
  public:
   IndexScanSource(Session* session, const BoundQuery& query,
@@ -583,22 +661,24 @@ class IndexScanSource : public RowSource {
         budget_(ScanBudget::Of(session)),
         query_(query),
         rids_(std::move(rids)),
-        batch_rows_(std::max<size_t>(batch_rows, 1)) {}
+        batch_rows_(std::max<size_t>(batch_rows, 1)),
+        pushdown_(session->scan_options().pushdown),
+        filter_(query.table->schema(), query.predicates),
+        spec_(MakeScanSpec(query, filter_, pushdown_)) {}
 
   Result<bool> NextBatch(EvaluatedBatch* out) override {
     out->Clear();
     while (out->size == 0 && next_ < rids_.size()) {
       IDB_RETURN_IF_ERROR(budget_.Check());
-      uint64_t fetched = 0;
-      while (next_ < rids_.size() && out->size < batch_rows_) {
-        IDB_ASSIGN_OR_RETURN(auto view, query_.table->GetRow(rids_[next_++]));
-        if (!view.has_value()) continue;
-        ++fetched;
-        EvaluatedRow* slot = out->Add();
-        if (!EvaluateRow(query_, read_options_, *view, slot)) out->DropLast();
-      }
+      const size_t n = std::min(batch_rows_, rids_.size() - next_);
+      ScanDeltas deltas;
+      IDB_RETURN_IF_ERROR(query_.table->FetchRows(rids_.data() + next_, n,
+                                                  spec_, &ws_, &views_,
+                                                  &deltas));
+      next_ += n;
       counters_->batches.fetch_add(1, std::memory_order_relaxed);
-      counters_->rows.fetch_add(fetched, std::memory_order_relaxed);
+      FoldDeltas(counters_, deltas);
+      EvaluateViews(query_, read_options_, views_, out, pushdown_);
     }
     return out->size > 0;
   }
@@ -610,6 +690,11 @@ class IndexScanSource : public RowSource {
   const BoundQuery& query_;
   std::vector<RowId> rids_;
   const size_t batch_rows_;
+  const bool pushdown_;
+  const StablePredicateFilter filter_;
+  const ScanSpec spec_;
+  ScanWorkspace ws_;
+  std::vector<RowView> views_;
   size_t next_ = 0;
 };
 
@@ -627,17 +712,6 @@ Result<bool> RowSource::Next(EvaluatedRow* out) {
   }
   *out = std::move(adapter_batch_.rows[adapter_next_++]);
   return true;
-}
-
-void EvaluateViews(const BoundQuery& query, const ReadOptions& read_options,
-                   const std::vector<RowView>& views, EvaluatedBatch* out,
-                   bool stable_prefiltered) {
-  for (const RowView& view : views) {
-    EvaluatedRow* slot = out->Add();
-    if (!EvaluateRow(query, read_options, view, slot, stable_prefiltered)) {
-      out->DropLast();
-    }
-  }
 }
 
 size_t ResolveScanParallelism(Session* session, const Table& table) {
@@ -684,58 +758,6 @@ Result<BoundQuery> BindQuery(Session* session, const std::string& table_name,
     }
   }
   return query;
-}
-
-bool EvaluateRow(const BoundQuery& query, const ReadOptions& read_options,
-                 const RowView& view, EvaluatedRow* out,
-                 bool stable_prefiltered) {
-  const Schema& schema = query.table->schema();
-  out->row_id = view.row_id;
-  out->values = view.values;
-  out->degradable_level.clear();
-
-  // Computability (σ over ∪_{j≤k} ST_j) and f_k generalization.
-  for (int col : query.referenced_degradable) {
-    const ColumnDef& column = schema.column(col);
-    const int ordinal = schema.DegradableOrdinal(col);
-    const int phase = view.phases[ordinal];
-    const int k = query.accuracy.at(col);
-    if (phase >= column.lcp.num_phases()) {
-      return false;  // value removed (⊥): never computable
-    }
-    const int stored_level = column.lcp.phase(phase).level;
-    if (stored_level > k && !read_options.include_coarser) {
-      return false;  // coarser than demanded: not in any ST_{j<=k}
-    }
-    const int target_level = std::max(stored_level, k);
-    Value vk = view.values[col];
-    if (stored_level < target_level) {
-      auto generalized =
-          column.hierarchy->Generalize(vk, stored_level, target_level);
-      if (!generalized.ok()) return false;
-      vk = *generalized;
-    }
-    out->values[col] = vk;
-    out->degradable_level.Set(col, target_level);
-  }
-
-  // σ_P over the generalized image.
-  for (const BoundPredicate& pred : query.predicates) {
-    const ColumnDef& column = schema.column(pred.column);
-    if (pred.degradable) {
-      const int level = out->degradable_level.Get(pred.column);
-      if (!EvalDegradablePredicate(*column.hierarchy, pred,
-                                   out->values[pred.column], level)) {
-        return false;
-      }
-    } else {
-      // Stable terms already ran below row assembly when the scan pushed
-      // them down; only the index path re-checks them here.
-      if (stable_prefiltered) continue;
-      if (!EvalStablePredicate(pred, out->values[pred.column])) return false;
-    }
-  }
-  return true;
 }
 
 std::string RenderValue(const Schema& schema, int col, const Value& value,
@@ -873,8 +895,6 @@ bool CanPushAggregate(Session* session, const SelectPlan& select) {
   return UsableIndexPredicate(session, select.query) == nullptr;
 }
 
-namespace {
-
 void InitPartials(size_t items, AggregatePartials* agg) {
   agg->count = 0;
   agg->sums.assign(items, 0);
@@ -883,8 +903,6 @@ void InitPartials(size_t items, AggregatePartials* agg) {
   agg->non_null.assign(items, 0);
 }
 
-/// Folds one qualifying row into a worker's partial — the same per-item
-/// state transitions as the executor's row-at-a-time AggState fold.
 void FoldAggregateRow(const SelectPlan& select, const EvaluatedRow& row,
                       AggregatePartials* agg) {
   ++agg->count;
@@ -909,6 +927,8 @@ void FoldAggregateRow(const SelectPlan& select, const EvaluatedRow& row,
     }
   }
 }
+
+namespace {
 
 /// Merge is associative over per-claimer partials: counts and sums add,
 /// extrema compare — so claim order never matters.

@@ -97,22 +97,6 @@ Result<BoundQuery> BindQuery(Session* session, const std::string& table_name,
                              const std::vector<PredicateAst>& where,
                              const std::vector<int>& projected_columns);
 
-/// Applies computability + f_k + σ_P to one stored row. Returns true and
-/// fills `out` when the row qualifies under the bound accuracy levels.
-/// `stable_prefiltered` tells it the scan already evaluated every
-/// stable-column conjunct below row assembly (ScanSpec pushdown), so only
-/// the degradable terms are re-checked here.
-bool EvaluateRow(const BoundQuery& query, const ReadOptions& read_options,
-                 const RowView& view, EvaluatedRow* out,
-                 bool stable_prefiltered = false);
-
-/// Whole-batch σ: evaluates every view, appending the qualifying rows to
-/// `out` (recycled slots, see EvaluatedBatch). This is the operators' inner
-/// loop — one virtual call per batch instead of per row.
-void EvaluateViews(const BoundQuery& query, const ReadOptions& read_options,
-                   const std::vector<RowView>& views, EvaluatedBatch* out,
-                   bool stable_prefiltered = false);
-
 /// Renders one output value (buckets as "[lo..hi]", levels applied).
 std::string RenderValue(const Schema& schema, int col, const Value& value,
                         const DegradableLevels& levels);
@@ -194,9 +178,10 @@ struct SelectPlan {
 /// Binds a SELECT statement into an executable plan.
 Result<SelectPlan> BindSelect(Session* session, const SelectAst& ast);
 
-/// Merged per-worker aggregate state of one ungrouped aggregate query,
-/// indexed like SelectPlan::items. COUNT(*) reads `count`; COUNT(col)/AVG
-/// read `non_null`; SUM/AVG read `sums`; MIN/MAX read `mins`/`maxs`.
+/// Aggregate state of one group (or of one scan worker's share of an
+/// ungrouped query), indexed like SelectPlan::items. COUNT(*) reads
+/// `count`; COUNT(col)/AVG read `non_null`; SUM/AVG read `sums`; MIN/MAX
+/// read `mins`/`maxs`.
 struct AggregatePartials {
   uint64_t count = 0;
   std::vector<double> sums;
@@ -205,9 +190,18 @@ struct AggregatePartials {
   std::vector<uint64_t> non_null;
 };
 
+/// Resets `agg` to the empty state for `items` select items.
+void InitPartials(size_t items, AggregatePartials* agg);
+
+/// Folds one qualifying row into `agg`: the one set of per-item aggregate
+/// transitions, shared by the pushdown workers and the executor's
+/// row-source path.
+void FoldAggregateRow(const SelectPlan& select, const EvaluatedRow& row,
+                      AggregatePartials* agg);
+
 /// True when `select` can compute below the cursor: pushdown enabled on the
 /// session, ungrouped, every item an aggregate, and no usable index
-/// predicate (index probes keep the row-at-a-time path).
+/// predicate (index probes feed the executor's row-source fold).
 bool CanPushAggregate(Session* session, const SelectPlan& select);
 
 /// Aggregate pushdown: computes COUNT/SUM/AVG/MIN/MAX partials inside the

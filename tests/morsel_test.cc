@@ -290,10 +290,13 @@ TEST_F(MorselScanTest, MorselCursorsResumeExactlyAcrossBoundaries) {
   std::set<RowId> expected;
   for (uint32_t p = 0; p < table->num_partitions(); ++p) {
     PartitionCursor cursor = table->OpenPartitionCursor(p);
+    ScanWorkspace ws;
+    ScanDeltas deltas;
     bool done = false;
     while (!done) {
       std::vector<RowView> views;
-      ASSERT_TRUE(cursor.NextBatch(64, &views, &done).ok());
+      ASSERT_TRUE(
+          cursor.NextBatch(64, ScanSpec{}, &ws, &views, &done, &deltas).ok());
       for (const RowView& view : views) expected.insert(view.row_id);
     }
   }
@@ -306,10 +309,13 @@ TEST_F(MorselScanTest, MorselCursorsResumeExactlyAcrossBoundaries) {
   for (const auto& queue : table->MorselPlan(1)) {
     for (const Morsel& morsel : queue) {
       PartitionCursor cursor = table->OpenMorselCursor(morsel);
+      ScanWorkspace ws;
+      ScanDeltas deltas;
       bool done = false;
       while (!done) {
         std::vector<RowView> views;
-        ASSERT_TRUE(cursor.NextBatch(7, &views, &done).ok());
+        ASSERT_TRUE(
+            cursor.NextBatch(7, ScanSpec{}, &ws, &views, &done, &deltas).ok());
         for (const RowView& view : views) {
           EXPECT_EQ(table->PartitionOf(view.row_id), morsel.partition);
           EXPECT_TRUE(seen.insert(view.row_id).second)
@@ -318,7 +324,8 @@ TEST_F(MorselScanTest, MorselCursorsResumeExactlyAcrossBoundaries) {
       }
       // A drained morsel cursor stays drained.
       std::vector<RowView> extra;
-      ASSERT_TRUE(cursor.NextBatch(7, &extra, &done).ok());
+      ASSERT_TRUE(
+          cursor.NextBatch(7, ScanSpec{}, &ws, &extra, &done, &deltas).ok());
       EXPECT_TRUE(done);
       EXPECT_TRUE(extra.empty());
     }

@@ -223,10 +223,13 @@ TEST_F(ParallelScanTest, PartitionCursorsShardTheTableExactly) {
   std::set<RowId> all;
   for (uint32_t p = 0; p < table->num_partitions(); ++p) {
     PartitionCursor cursor = table->OpenPartitionCursor(p);
+    ScanWorkspace ws;
+    ScanDeltas deltas;
     bool done = false;
     while (!done) {
       std::vector<RowView> views;
-      ASSERT_TRUE(cursor.NextBatch(64, &views, &done).ok());
+      ASSERT_TRUE(
+          cursor.NextBatch(64, ScanSpec{}, &ws, &views, &done, &deltas).ok());
       for (const RowView& view : views) {
         // Every row a partition cursor serves routes back to it.
         EXPECT_EQ(table->PartitionOf(view.row_id), p);
@@ -236,7 +239,8 @@ TEST_F(ParallelScanTest, PartitionCursorsShardTheTableExactly) {
     }
     // A drained cursor stays drained.
     std::vector<RowView> extra;
-    ASSERT_TRUE(cursor.NextBatch(64, &extra, &done).ok());
+    ASSERT_TRUE(
+        cursor.NextBatch(64, ScanSpec{}, &ws, &extra, &done, &deltas).ok());
     EXPECT_TRUE(done);
     EXPECT_TRUE(extra.empty());
   }
@@ -244,9 +248,11 @@ TEST_F(ParallelScanTest, PartitionCursorsShardTheTableExactly) {
 
   // An out-of-range partition index yields a safe empty cursor.
   PartitionCursor oob = table->OpenPartitionCursor(table->num_partitions());
+  ScanWorkspace ws;
+  ScanDeltas deltas;
   bool done = false;
   std::vector<RowView> views;
-  ASSERT_TRUE(oob.NextBatch(64, &views, &done).ok());
+  ASSERT_TRUE(oob.NextBatch(64, ScanSpec{}, &ws, &views, &done, &deltas).ok());
   EXPECT_TRUE(done);
   EXPECT_TRUE(views.empty());
 }

@@ -1,5 +1,4 @@
 #include <map>
-#include <set>
 
 #include "catalog/builtin_domains.h"
 #include "db/database.h"
@@ -121,32 +120,6 @@ TEST_P(PartitionTest, EngineCountsPassesOnlyWhenWorkWasDue) {
   const auto stats = db_->degradation()->stats();
   EXPECT_EQ(stats.passes, 1u);
   EXPECT_EQ(stats.values_moved, 1u);
-}
-
-TEST_P(PartitionTest, ScanBatchResumesAcrossPartitionBoundaries) {
-  ASSERT_TRUE(db_->CreateTable("pings", PingSchema()).ok());
-  std::set<RowId> expected;
-  for (int i = 0; i < 53; ++i) {
-    expected.insert(InsertPing("u" + std::to_string(i), "3 Av Foch"));
-  }
-
-  Table* table = db_->GetTable("pings");
-  std::multiset<RowId> seen;
-  TableScanPos pos;
-  bool done = false;
-  int batches = 0;
-  while (!done) {
-    std::vector<RowView> batch;
-    ASSERT_TRUE(table->ScanBatch(&pos, 7, &batch, &done).ok());
-    for (const RowView& view : batch) seen.insert(view.row_id);
-    ++batches;
-    ASSERT_LE(batches, 100);  // termination guard
-  }
-  // Every row exactly once, across all partitions.
-  EXPECT_EQ(seen.size(), expected.size());
-  EXPECT_TRUE(std::equal(expected.begin(), expected.end(), seen.begin(),
-                         seen.end()));
-  EXPECT_GE(batches, static_cast<int>(kPartitions));
 }
 
 TEST_P(PartitionTest, RecoveryRoutesRedoToOwningPartition) {

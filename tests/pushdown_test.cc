@@ -2,9 +2,10 @@
 // computed below row assembly must return exactly what the reference path
 // (full RowView assembly, σ above) returns — across predicate shapes, scan
 // parallelism and WAL privacy modes — while the scan counters prove the
-// store probes were actually skipped. Also covers the batched store probe
-// (TablePartition::ProbeMany vs per-row assembly), the maintenance daemon's
-// adaptive checkpoint cadence, and audit-driven urgent repair. Runs under
+// store probes were actually skipped, on every read path. Also covers the
+// one row assembler (cursor batches and by-id fetches vs a per-row walk of
+// the state stores), the maintenance daemon's adaptive checkpoint cadence,
+// and audit-driven urgent repair. Runs under
 // TSan/ASan in scripts/verify.sh: the aggregate fan-out and the
 // degrade-while-aggregating test are real cross-thread paths.
 
@@ -40,7 +41,8 @@ class PushdownTest : public ::testing::Test {
   /// "score < K" selects exactly K rows), a mix of phase-0 and phase-1
   /// locations, spread over `partitions` partitions.
   void BuildDb(uint32_t partitions, int rows,
-               WalPrivacyMode privacy = WalPrivacyMode::kScrub) {
+               WalPrivacyMode privacy = WalPrivacyMode::kScrub,
+               DegradableLayout layout = DegradableLayout::kStateStores) {
     db_.reset();
     ASSERT_TRUE(RemoveDirRecursive(dir_).ok());
     clock_ = std::make_unique<VirtualClock>(0);
@@ -50,6 +52,7 @@ class PushdownTest : public ::testing::Test {
     options.partitions = partitions;
     options.degradation.worker_threads = partitions;
     options.wal.privacy_mode = privacy;
+    options.layout = layout;
     auto opened = Database::Open(options);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     db_ = std::move(*opened);
@@ -319,43 +322,178 @@ TEST_F(PushdownTest, AggregateMergeStaysExactUnderConcurrentDegradation) {
   EXPECT_EQ(pushed->display, reference->display);
 }
 
-TEST_F(PushdownTest, ProbeManyAgreesWithPerRowAssembly) {
-  constexpr int kRows = 500;
+TEST_F(PushdownTest, ProbeAccountingInvariantHoldsOnEveryReadPath) {
+  constexpr int kRows = 480;
   BuildDb(4, kRows);
-  Table* table = db_->GetTable("pings");
-  ASSERT_NE(table, nullptr);
-  const Schema& schema = table->schema();
-  const auto& degradable = schema.degradable_columns();
-  size_t checked = 0;
-  for (uint32_t p = 0; p < table->num_partitions(); ++p) {
-    // Per-row truth via the assembling cursor.
-    std::map<RowId, RowView> expected;
-    PartitionCursor cursor = table->OpenPartitionCursor(p);
-    bool done = false;
-    while (!done) {
-      std::vector<RowView> views;
-      ASSERT_TRUE(cursor.NextBatch(64, &views, &done).ok());
-      for (RowView& view : views) expected.emplace(view.row_id, view);
+  Session session(db_.get());
+  ASSERT_TRUE(session
+                  .Execute("DECLARE PURPOSE GEO SET ACCURACY LEVEL CITY "
+                           "FOR pings.location")
+                  .ok());
+  struct Case {
+    std::string sql;
+    bool use_indexes;
+    bool pushdown;
+  };
+  const std::vector<Case> kCases = {
+      // Heap scan, reference path (no pre-filter, σ above assembly).
+      {"SELECT user, location FROM pings WHERE score < 100", false, false},
+      // Index probe, reference path.
+      {"SELECT user, location FROM pings WHERE location = 'Paris'", true,
+       false},
+      // Index probe with the stable conjunct below assembly.
+      {"SELECT user, location FROM pings WHERE location = 'Paris' AND "
+       "score < 300",
+       true, true},
+      // Aggregate over an index probe (row-source path).
+      {"SELECT COUNT(*) FROM pings WHERE location = 'Paris'", true, true},
+  };
+  for (const Case& c : kCases) {
+    session.set_use_indexes(c.use_indexes);
+    session.scan_options().pushdown = c.pushdown;
+    const Database::Stats before = db_->stats();
+    auto result = session.Execute(c.sql);
+    ASSERT_TRUE(result.ok()) << c.sql << " -> " << result.status().ToString();
+    EXPECT_FALSE(result->rows.empty()) << c.sql;
+    const Database::Stats after = db_->stats();
+    const uint64_t rows = after.scan.rows - before.scan.rows;
+    const uint64_t issued =
+        after.scan.store_probes_issued - before.scan.store_probes_issued;
+    const uint64_t skipped =
+        after.scan.store_probes_skipped - before.scan.store_probes_skipped;
+    EXPECT_GT(rows, 0u) << c.sql;
+    // One degradable column: per read row, one probe issued or skipped.
+    EXPECT_EQ(issued + skipped, rows) << c.sql;
+    if (c.use_indexes) {
+      // The index path claims no heap morsels.
+      EXPECT_EQ(after.scan.morsels_claimed, before.scan.morsels_claimed)
+          << c.sql;
+    } else {
+      EXPECT_EQ(rows, static_cast<uint64_t>(kRows)) << c.sql;
     }
-    std::vector<RowId> ids;
-    for (const auto& [id, view] : expected) ids.push_back(id);  // ascending
-    std::vector<int> phases;
-    std::vector<Value> values;
-    ASSERT_TRUE(table->partition(p)->ProbeMany(ids, &phases, &values).ok());
-    ASSERT_EQ(phases.size(), ids.size() * degradable.size());
-    ASSERT_EQ(values.size(), ids.size() * degradable.size());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      const RowView& view = expected.at(ids[i]);
-      for (size_t d = 0; d < degradable.size(); ++d) {
-        EXPECT_EQ(phases[i * degradable.size() + d], view.phases[d])
-            << "row " << ids[i];
-        EXPECT_EQ(values[i * degradable.size() + d], view.values[degradable[d]])
-            << "row " << ids[i];
-      }
-      ++checked;
-    }
+    if (!c.pushdown) EXPECT_EQ(skipped, 0u) << c.sql;
   }
-  EXPECT_EQ(checked, static_cast<size_t>(kRows));
+}
+
+TEST_F(PushdownTest, OneAssemblerAgreesWithPerRowStoreWalk) {
+  constexpr int kRows = 500;
+  constexpr Micros kLateInsert = kMicrosPerHour + kMicrosPerMinute;
+  const char* kAddresses[] = {"11 Rue Lepic", "3 Av Foch", "12 Rue Royale",
+                              "4 Rue Breteuil", "8 Cours Mirabeau"};
+  for (const DegradableLayout layout :
+       {DegradableLayout::kStateStores, DegradableLayout::kInPlace}) {
+    SCOPED_TRACE(layout == DegradableLayout::kStateStores ? "StateStores"
+                                                          : "InPlace");
+    BuildDb(4, kRows, WalPrivacyMode::kScrub, layout);
+    Table* table = db_->GetTable("pings");
+    ASSERT_NE(table, nullptr);
+    const Schema& schema = table->schema();
+    ASSERT_EQ(schema.degradable_columns().size(), 1u);
+    const int loc = schema.degradable_columns()[0];
+    const ColumnDef& column = schema.column(loc);
+
+    // Truth for one assembled row. BuildDb's model: score i belongs to user
+    // "u<i>" at address i % 5; the first half was inserted at t=0 and
+    // degraded to phase 1 (city), the second half inserted accurate later.
+    // Under kStateStores the stores are walked per row with Find as well.
+    auto check = [&](const RowView& view) {
+      SCOPED_TRACE("row " + std::to_string(view.row_id));
+      ASSERT_EQ(view.values.size(), static_cast<size_t>(schema.num_columns()));
+      ASSERT_EQ(view.phases.size(), 1u);
+      const int64_t score = view.values[1].int64();
+      EXPECT_EQ(view.values[0], Value::String("u" + std::to_string(score)));
+      const bool degraded = score < kRows / 2;
+      EXPECT_EQ(view.insert_time, degraded ? 0 : kLateInsert);
+      EXPECT_EQ(view.phases[0], degraded ? 1 : 0);
+      auto expected = column.hierarchy->Generalize(
+          Value::String(kAddresses[score % 5]), column.lcp.phase(0).level,
+          column.lcp.phase(view.phases[0]).level);
+      ASSERT_TRUE(expected.ok());
+      EXPECT_EQ(view.values[loc], *expected);
+      if (layout != DegradableLayout::kStateStores) return;
+      const TablePartition* partition =
+          table->partition(table->PartitionOf(view.row_id));
+      int phase = column.lcp.num_phases();
+      const StoreEntry* entry = nullptr;
+      for (int p = 0; p < column.lcp.num_phases() && entry == nullptr; ++p) {
+        entry = partition->store(loc, p)->Find(view.row_id);
+        if (entry != nullptr) phase = p;
+      }
+      ASSERT_NE(entry, nullptr);
+      EXPECT_EQ(view.phases[0], phase);
+      EXPECT_EQ(view.values[loc], entry->value);
+      EXPECT_EQ(view.insert_time, entry->insert_time);
+    };
+
+    // Heap cursor batches, every row checked.
+    std::map<RowId, RowView> listed;
+    for (uint32_t p = 0; p < table->num_partitions(); ++p) {
+      PartitionCursor cursor = table->OpenPartitionCursor(p);
+      ScanWorkspace ws;
+      ScanDeltas deltas;
+      std::vector<RowView> views;
+      bool done = false;
+      while (!done) {
+        ASSERT_TRUE(
+            cursor.NextBatch(64, ScanSpec{}, &ws, &views, &done, &deltas).ok());
+        for (const RowView& view : views) {
+          check(view);
+          listed.emplace(view.row_id, view);
+        }
+      }
+    }
+    ASSERT_EQ(listed.size(), static_cast<size_t>(kRows));
+
+    // By-id fetch of every listed id, after one of them is deleted: the
+    // deleted row is skipped, the rest match the cursor's rows.
+    std::vector<RowId> ids;
+    for (const auto& [id, view] : listed) ids.push_back(id);  // ascending
+    const RowId deleted = ids[ids.size() / 3];
+    auto txn = db_->Begin();
+    ASSERT_TRUE(table->Delete(txn.get(), deleted).ok());
+    ASSERT_TRUE(db_->Commit(txn.get()).ok());
+
+    auto same_as_listed = [&](const RowView& view) {
+      const RowView& truth = listed.at(view.row_id);
+      EXPECT_EQ(view.insert_time, truth.insert_time);
+      EXPECT_EQ(view.values, truth.values);
+      EXPECT_EQ(view.phases, truth.phases);
+    };
+    const uint32_t home = table->PartitionOf(deleted);
+    std::vector<RowId> home_ids;
+    for (RowId id : ids) {
+      if (table->PartitionOf(id) == home) home_ids.push_back(id);
+    }
+    ScanWorkspace ws;
+    ScanDeltas deltas;
+    std::vector<RowView> fetched;
+    ASSERT_TRUE(table->partition(home)
+                    ->FetchRows(home_ids.data(), home_ids.size(), ScanSpec{},
+                                &ws, &fetched, &deltas)
+                    .ok());
+    ASSERT_EQ(fetched.size(), home_ids.size() - 1);
+    for (size_t i = 0, j = 0; i < home_ids.size(); ++i) {
+      if (home_ids[i] == deleted) continue;
+      ASSERT_EQ(fetched[j].row_id, home_ids[i]);
+      check(fetched[j]);
+      same_as_listed(fetched[j]);
+      ++j;
+    }
+
+    // The table-level fetch routes across partitions and keeps ascending
+    // row-id order.
+    ASSERT_TRUE(table->FetchRows(ids.data(), ids.size(), ScanSpec{}, &ws,
+                                 &fetched, &deltas)
+                    .ok());
+    ASSERT_EQ(fetched.size(), ids.size() - 1);
+    for (size_t i = 0; i < fetched.size(); ++i) {
+      if (i > 0) EXPECT_LT(fetched[i - 1].row_id, fetched[i].row_id);
+      EXPECT_NE(fetched[i].row_id, deleted);
+      check(fetched[i]);
+      same_as_listed(fetched[i]);
+    }
+    EXPECT_FALSE(table->GetRow(deleted)->has_value());
+  }
 }
 
 TEST_F(PushdownTest, AdaptiveCadencePullsCheckpointToPayloadDeadline) {
